@@ -1,16 +1,26 @@
-// Stackful cooperative fibers built on POSIX ucontext.
+// Stackful cooperative fibers.
 //
 // Simulated MPI ranks are written as ordinary blocking C++ code (the same way
 // the real NAS-MZ and IMB sources are written); each rank runs on a fiber and
 // the discrete-event engine switches between them.  This is the execution
 // model used by mature network simulators (e.g. SimGrid): one OS thread, many
 // user-level contexts, fully deterministic scheduling.
+//
+// On x86-64 a switch is a short hand-written routine that saves the
+// callee-saved registers and the SSE/x87 control words on the fiber's own
+// stack and swaps the stack pointer (no system call).  Other ISAs fall back
+// to POSIX ucontext.  Every stack has a PROT_NONE guard page below it, so an
+// overrun faults instead of corrupting the heap, and released stacks are
+// reused through a per-thread free list.
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <functional>
-#include <memory>
+
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 namespace swapp::sim {
 
@@ -51,15 +61,25 @@ class Fiber {
   void rethrow_if_failed();
 
  private:
+  [[noreturn]] static void entry(Fiber* self);
+#if !defined(__x86_64__)
   static void trampoline(unsigned hi, unsigned lo);
-  void run_body();
+#endif
+  void switch_in();                  ///< scheduler -> fiber
+  void switch_out(bool finishing);   ///< fiber -> scheduler
 
   std::function<void()> body_;
-  std::unique_ptr<char[]> stack_;
+  char* stack_ = nullptr;  ///< lowest usable byte; the guard page is below
+  std::size_t stack_bytes_ = 0;
+#if defined(__x86_64__)
+  void* sp_ = nullptr;         ///< fiber's stack pointer while suspended
+  void* caller_sp_ = nullptr;  ///< scheduler's stack pointer while running
+#else
   ucontext_t context_{};
-  ucontext_t return_context_{};
+  ucontext_t caller_context_{};
+#endif
+  void* tsan_fiber_ = nullptr;  ///< ThreadSanitizer handle (TSan builds)
   std::exception_ptr failure_;
-  bool started_ = false;
   bool finished_ = false;
 };
 

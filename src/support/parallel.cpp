@@ -124,9 +124,17 @@ class Pool {
   void ensure_workers(std::size_t count) {
     if (workers_.size() == count) return;
     stop_workers();
+    // New workers must wait for the *next* job: a worker that started from
+    // generation 0 would take the finished previous job for a new one and
+    // could count itself done twice, leaving the caller waiting forever.
+    std::uint64_t generation = 0;
+    {
+      std::lock_guard<std::mutex> job(job_mutex_);
+      generation = generation_;
+    }
     workers_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      workers_.emplace_back([this] { worker_main(); });
+      workers_.emplace_back([this, generation] { worker_main(generation); });
     }
   }
 
@@ -142,9 +150,8 @@ class Pool {
     stop_ = false;
   }
 
-  void worker_main() {
+  void worker_main(std::uint64_t seen_generation) {
     RegionGuard in_region;
-    std::uint64_t seen_generation = 0;
     while (true) {
       {
         std::unique_lock<std::mutex> job(job_mutex_);

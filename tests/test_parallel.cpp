@@ -177,6 +177,31 @@ TEST(ParallelChunked, PropagatesExceptionsFromInsideAChunk) {
   EXPECT_EQ(count.load(), 10);
 }
 
+TEST(Parallel, ResizingBetweenJobsKeepsExactlyOnceCoverage) {
+  ThreadCountGuard guard;
+  // Every resize restarts the pool after earlier jobs have advanced its
+  // job generation.  Fresh workers must not take the finished job for a new
+  // one: a worker counted twice ends a job early or leaves the caller
+  // waiting forever.  The race is timing-dependent, hence the many rounds.
+  const std::size_t sizes[] = {1, 4, 2, 8, 3, 5, 2, 7};
+  constexpr std::size_t kN = 257;
+  for (int round = 0; round < 500; ++round) {
+    for (const std::size_t t : sizes) {
+      set_thread_count(t);
+      for (int job = 0; job < 2; ++job) {
+        std::vector<std::atomic<int>> hits(kN);
+        parallel_for(kN, [&](std::size_t i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (std::size_t i = 0; i < kN; ++i) {
+          ASSERT_EQ(hits[i].load(), 1)
+              << "round=" << round << " threads=" << t << " index=" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(Parallel, SetThreadCountInsideRegionIsRejected) {
   ThreadCountGuard guard;
   set_thread_count(2);

@@ -7,6 +7,9 @@
 # nz lists — exactly the indexing ASan should be watching — and the
 # projection server suite (test_server), where frame buffers, connection
 # registries, and promise/future handoffs live across thread boundaries.
+# Fiber switches are announced to ASan (src/sim/fiber.cpp), so simulated
+# ranks run on stacks ASan knows about and the fiber tests in test_sim
+# check reused and abandoned fiber stacks.
 # Usage: tools/check_asan.sh [extra ctest args].
 set -euo pipefail
 

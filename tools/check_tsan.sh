@@ -7,7 +7,9 @@
 # the engine's pre-main kernel dispatch must both stay TSan-clean.  It also
 # runs the projection server suite (test_server): concurrent clients over a
 # Unix socket, admission-queue handoff between connection threads and the
-# scheduler, and graceful shutdown must all be race-free.
+# scheduler, and graceful shutdown must all be race-free.  Each simulation
+# fiber is a TSan fiber (src/sim/fiber.cpp), so switching stacks inside a
+# pool worker does not confuse the race detector.
 # Usage: tools/check_tsan.sh [extra ctest args].
 set -euo pipefail
 
