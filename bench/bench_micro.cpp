@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/ga.h"
-#include "core/ga_eval.h"
 #include "core/projector.h"
 #include "core/ranking.h"
 #include "experiments/lab.h"
@@ -190,9 +189,9 @@ std::vector<double> ga_bench_genome(const core::SpecData& spec) {
 }
 
 // The GA objective on a suite-sized genome, one kernel per Arg (the
-// core::GaKernel enum): 0 = three-pass reference, 1 = fused single-pass AoS,
-// 2 = SoA sparse per-genome, 3 = SoA whole-batch.  256 evaluations per
-// iteration, matching the per-generation re-evaluation load.
+// core::GaKernel enum): 0 = three-pass reference oracle, 2 = the production
+// SoA sparse kernel.  256 evaluations per iteration, matching the
+// per-generation re-evaluation load.
 void BM_GaFitnessKernel(benchmark::State& state) {
   const machine::Machine base = machine::make_power5_hydra();
   const core::SpecData& spec = ga_spec_data();
@@ -202,7 +201,7 @@ void BM_GaFitnessKernel(benchmark::State& state) {
   const std::vector<double> genome = ga_bench_genome(spec);
   const auto kernel = static_cast<core::GaKernel>(state.range(0));
   constexpr int kEvals = 256;
-  // Problem setup (signature conversion, transposes, scales) happens once,
+  // Problem setup (signature conversion, interleaving, scales) happens once,
   // outside the timed region: the loop measures the kernels themselves.
   const core::GaFitnessProber prober(app, app_smt, weights, spec, 100.0);
   for (auto _ : state) {
@@ -210,7 +209,7 @@ void BM_GaFitnessKernel(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kEvals);
 }
-BENCHMARK(BM_GaFitnessKernel)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_GaFitnessKernel)->Arg(0)->Arg(2);
 
 /// An application whose signature is a genuine six-way blend of the strided
 /// genome's benchmarks (instruction-weighted accumulate, distinct shares).
@@ -239,10 +238,10 @@ machine::PmuCounters ga_polish_app(
 }
 
 // The GA's deterministic polish loop on a converged max_terms genome.  Arg
-// = core::PolishMode: 0 = delta-screened (screen every candidate, confirm
-// improvements exactly), 1 = the pre-change full-eval path.  The genome is
-// polished to its local optimum once, outside the timed region, because
-// that is the regime the GA puts the loop in — its winners arrive
+// = core::PolishMode: 0 = delta-screened (the GA's polish: screen every
+// candidate, confirm improvements exactly), 1 = the full-eval oracle.  The
+// genome is polished to its local optimum once, outside the timed region,
+// because that is the regime the GA puts the loop in — its winners arrive
 // near-converged, so almost every candidate is a rejection, which is
 // exactly where the screen replaces a copy+rescale+exact-eval with one
 // O(M) delta pass.  `min_sweeps` pins the candidate-visit count, so both
@@ -266,17 +265,9 @@ void BM_GaPolish(benchmark::State& state) {
 }
 BENCHMARK(BM_GaPolish)->Arg(0)->Arg(1);
 
-// The raw one-weight delta screen through one ISA tier.  Arg indexes
-// {generic, sse2, avx2, avx512}; tiers the CPU lacks are skipped.  256
-// screens per iteration over a bound blend — the load the polish loop puts
-// on the kernel per sweep family.
+// The raw one-weight delta screen: 256 screens per iteration over a bound
+// blend — the load the polish loop puts on the kernel per sweep family.
 void BM_GaDeltaKernel(benchmark::State& state) {
-  static const char* kTiers[] = {"generic", "sse2", "avx2", "avx512"};
-  const std::string tier = kTiers[state.range(0)];
-  if (!core::set_ga_delta_tier(tier)) {
-    state.SkipWithError(("tier unsupported on this CPU: " + tier).c_str());
-    return;
-  }
   const machine::Machine base = machine::make_power5_hydra();
   const core::SpecData& spec = ga_spec_data();
   const machine::PmuCounters app = spec.base_counters_st.at("zeusmp");
@@ -288,10 +279,9 @@ void BM_GaDeltaKernel(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(prober.run_delta(genome, kScreens));
   }
-  core::set_ga_delta_tier("");
   state.SetItemsProcessed(state.iterations() * kScreens);
 }
-BENCHMARK(BM_GaDeltaKernel)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_GaDeltaKernel);
 
 // A full figure through the Lab (LU on POWER6: ground-truth runs +
 // projections per row), serial vs. pooled.  Arg = thread count (0 = auto).

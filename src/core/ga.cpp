@@ -64,8 +64,8 @@ struct Problem {
   std::array<double, machine::kMetricCount> metric_weight{};
   double app_compute = 0.0;
   double lambda = 2.0;
-  /// SoA copy of the arrays above (metric-major signatures); the production
-  /// evaluation path.  Built once per problem by finish_problem.
+  /// Pair-interleaved copy of the arrays above; the production evaluation
+  /// path.  Built once per problem by finish_problem.
   GaEvalEngine engine;
 
   std::size_t size() const { return bench_base_time.size(); }
@@ -97,9 +97,8 @@ struct Problem {
   }
 
   // Reference three-pass objective (metric_distance + runtime_error +
-  // fitness).  The GA itself runs fitness_fused below; these stay compiled
-  // in as the ground truth the fused kernel is benchmarked and checked
-  // against (ga_fitness_probe).
+  // fitness).  The GA itself runs `engine.fitness_sparse`; this is the
+  // oracle GaFitnessProber checks and benchmarks it against.
 
   double metric_distance(const Genome& g) const {
     // Blend benchmark signatures by their share of the surrogate's runtime
@@ -140,49 +139,6 @@ struct Problem {
     return metric_distance(g) + lambda * r * r;
   }
 
-  /// Fused single-pass objective: one sweep over the genome's nonzero terms
-  /// computes the runtime share, the ST/SMT signature blends, and the
-  /// runtime penalty together.  Per-metric accumulation happens in the same
-  /// ascending-k order as the reference path, and skipped zero terms only
-  /// drop exact +0.0 additions, so the result is bit-identical to
-  /// fitness() for every genome the GA produces (weights are >= 0).
-  double fitness_fused(const Genome& g, double* distance_out = nullptr,
-                       double* runtime_error_out = nullptr) const {
-    double share_total = 0.0;
-    for (std::size_t k = 0; k < g.size(); ++k) {
-      if (g[k] != 0.0) share_total += g[k] * bench_base_time[k];
-    }
-    const double rerr = std::abs(share_total - app_compute) / app_compute;
-
-    double distance;
-    if (share_total <= 0.0) {
-      distance = 1e18;
-    } else {
-      std::array<double, machine::kMetricCount> blend_st{};
-      std::array<double, machine::kMetricCount> blend_smt{};
-      for (std::size_t k = 0; k < g.size(); ++k) {
-        if (g[k] == 0.0) continue;
-        const double share = g[k] * bench_base_time[k] / share_total;
-        const std::array<double, machine::kMetricCount>& st =
-            bench_st[k].values;
-        const std::array<double, machine::kMetricCount>& smt =
-            bench_smt[k].values;
-        for (std::size_t i = 0; i < machine::kMetricCount; ++i) {
-          blend_st[i] += share * st[i];
-          blend_smt[i] += share * smt[i];
-        }
-      }
-      distance = 0.0;
-      for (std::size_t i = 0; i < machine::kMetricCount; ++i) {
-        const double d_st = (blend_st[i] - app_st.values[i]) / scale[i];
-        const double d_smt = (blend_smt[i] - app_smt.values[i]) / scale[i];
-        distance += metric_weight[i] * (d_st * d_st + d_smt * d_smt);
-      }
-    }
-    if (distance_out) *distance_out = distance;
-    if (runtime_error_out) *runtime_error_out = rerr;
-    return distance + lambda * rerr * rerr;
-  }
 };
 
 /// Zeroes the smallest positive weights until at most `max_terms` remain,
@@ -216,15 +172,31 @@ struct PolishStats {
   std::uint64_t screens = 0;
 };
 
+/// The candidate weight tweaks the polish loop tries on every live term.
+constexpr double kPolishFactors[4] = {0.8, 1.25, 0.95, 1.05};
+
+/// One polish candidate's exact fitness: `polished` with weight k scaled by
+/// `factor`, rescaled to the application's compute time.
+double polish_candidate(const Problem& prob, const Genome& polished,
+                        const NzList& polished_nz, std::size_t k,
+                        double factor, Genome& candidate,
+                        GaEvalScratch& scratch) {
+  candidate = polished;
+  candidate[k] *= factor;
+  prob.normalise_scale_sparse(candidate, polished_nz);
+  return prob.engine.fitness_sparse(candidate.data(), polished_nz.data(),
+                                    polished_nz.size(), scratch);
+}
+
 /// Deterministic local polish: multiplicative one-weight tweaks on
 /// `polished` until no candidate improves the objective (and at least
 /// `min_sweeps` sweeps have run — the GA passes 0; the benchmark prober
-/// pins a sweep count so both modes make identical candidate visits).
+/// pins a sweep count so it can time a fixed number of candidate visits).
 ///
-/// kFullEval pays one exact eval (genome copy + rescale + fitness_sparse)
-/// per candidate — the pre-delta behaviour.  kDeltaScreened screens each
-/// candidate through the cached blend in O(M) first and only confirms
-/// apparent improvements exactly.  Why the two modes accept identically:
+/// Each candidate is screened through the cached blend in O(M) first and
+/// only apparent improvements pay an exact eval (genome copy + rescale +
+/// fitness_sparse).  Why this accepts exactly what one exact eval per
+/// candidate would (the `PolishMode::kFullEval` oracle in GaFitnessProber):
 ///   * the screen approximates the exact post-rescale fitness to ~1e-12
 ///     absolute (reciprocal-multiply rounding, one delta step off the
 ///     bound blend, and the dropped post-rescale runtime penalty ~1e-31);
@@ -232,7 +204,7 @@ struct PolishStats {
 ///     candidate the exact path would accept (f + 1e-12 < fit) can be
 ///     screened out, while spurious survivors die on their exact eval;
 ///   * acceptance tests only exact values — so the accept sequence, the
-///     final genome, and the fitness are identical in both modes.
+///     final genome, and the fitness are identical to the oracle's.
 /// Accepted tweaks are committed into the blend via apply_scale1 (one
 /// rounding of drift each); every GaBlendState::kRefreshInterval commits
 /// the blend is re-bound from the live genome, bounding total drift.  The
@@ -240,16 +212,13 @@ struct PolishStats {
 /// values are scale-invariant, so it tracks the unnormalised trajectory.
 double polish_genome(const Problem& prob, Genome& polished,
                      const NzList& polished_nz, double polished_fit,
-                     PolishMode mode, int min_sweeps, GaEvalScratch& scratch,
+                     int min_sweeps, GaEvalScratch& scratch,
                      PolishStats& stats) {
   if (polished_nz.empty()) return polished_fit;
   Genome candidate(polished.size(), 0.0);
   GaBlendState blend;
-  const bool screened = mode == PolishMode::kDeltaScreened;
-  if (screened) {
-    prob.engine.bind_blend(blend, polished.data(), polished_nz.data(),
-                           polished_nz.size());
-  }
+  prob.engine.bind_blend(blend, polished.data(), polished_nz.data(),
+                         polished_nz.size());
   int sweeps = 0;
   bool improved = true;
   while (improved || sweeps < min_sweeps) {
@@ -258,69 +227,29 @@ double polish_genome(const Problem& prob, Genome& polished,
     for (std::size_t j = 0; j < polished_nz.size(); ++j) {
       const std::size_t k = polished_nz[j];
       if (polished[k] == 0.0) continue;
-      for (const double factor : {0.8, 1.25, 0.95, 1.05}) {
-        if (screened) {
-          const double screen =
-              prob.engine.fitness_delta_scale1(blend, j, factor);
-          ++stats.screens;
-          const double margin = 1e-9 * (1.0 + std::abs(polished_fit));
-          if (!(screen < polished_fit + margin)) continue;
-        }
-        candidate = polished;
-        candidate[k] *= factor;
-        prob.normalise_scale_sparse(candidate, polished_nz);
-        const double f = prob.engine.fitness_sparse(
-            candidate.data(), polished_nz.data(), polished_nz.size(), scratch);
+      for (const double factor : kPolishFactors) {
+        const double screen =
+            prob.engine.fitness_delta_scale1(blend, j, factor);
+        ++stats.screens;
+        const double margin = 1e-9 * (1.0 + std::abs(polished_fit));
+        if (!(screen < polished_fit + margin)) continue;
+        const double f = polish_candidate(prob, polished, polished_nz, k,
+                                          factor, candidate, scratch);
         ++stats.exact_evals;
         if (f + 1e-12 < polished_fit) {
           std::swap(polished, candidate);
           polished_fit = f;
           improved = true;
-          if (screened) {
-            prob.engine.apply_scale1(blend, j, factor);
-            if (blend.needs_refresh()) {
-              prob.engine.bind_blend(blend, polished.data(),
-                                     polished_nz.data(), polished_nz.size());
-            }
+          prob.engine.apply_scale1(blend, j, factor);
+          if (blend.needs_refresh()) {
+            prob.engine.bind_blend(blend, polished.data(), polished_nz.data(),
+                                   polished_nz.size());
           }
         }
       }
     }
   }
   return polished_fit;
-}
-
-/// Collects per-slot weight differences between `child` and `parent` over
-/// the union of their nonzero lists (both sorted ascending).  Returns the
-/// number of differing slots, or 4 as soon as the diff exceeds the 3
-/// changes the mutation screen handles — the caller then falls back to an
-/// exact eval.
-std::size_t genome_diff(const Genome& child, const NzList& child_nz,
-                        const Genome& parent, const NzList& parent_nz,
-                        GaWeightChange* out) {
-  constexpr std::size_t kScreenable = 3;
-  std::size_t count = 0;
-  std::size_t a = 0;
-  std::size_t b = 0;
-  while (a < child_nz.size() || b < parent_nz.size()) {
-    std::size_t k;
-    if (b >= parent_nz.size() ||
-        (a < child_nz.size() && child_nz[a] < parent_nz[b])) {
-      k = child_nz[a++];
-    } else if (a >= child_nz.size() || parent_nz[b] < child_nz[a]) {
-      k = parent_nz[b++];
-    } else {
-      k = child_nz[a];
-      ++a;
-      ++b;
-    }
-    const double dw = child[k] - parent[k];
-    if (dw != 0.0) {
-      if (count == kScreenable) return kScreenable + 1;
-      out[count++] = GaWeightChange{k, dw};
-    }
-  }
-  return count;
 }
 
 /// Fills the application-side fields and the per-metric scales; the
@@ -389,8 +318,7 @@ Problem build_problem(const machine::PmuCounters& app_st,
 Surrogate find_surrogate_once(const Problem& prob, const SpecData& spec,
                               const GaOptions& options) {
   SWAPP_SPAN("ga.restart");
-  std::uint64_t evals = 0;    // exact SoA-engine evaluations, flushed on exit
-  std::uint64_t screens = 0;  // O(M) delta screens, flushed on exit
+  std::uint64_t evals = 0;  // exact engine evaluations, flushed on exit
   Rng rng(options.seed);
   const std::size_t n = prob.size();
 
@@ -428,20 +356,19 @@ Surrogate find_surrogate_once(const Problem& prob, const SpecData& spec,
   }
   std::vector<double> fitness(pop_size, 0.0);
 
-  // Whole-generation scoring through the SoA engine: one batched call per
-  // generation over reused scratch (bit-identical to per-genome fitness()).
-  // `first` skips individuals whose score is already known — the elites,
-  // whose fitness carries over verbatim because the objective is a pure
-  // function of (genome, nz) and elites are verbatim copies.
+  // Scores individuals [first, pop_size) through the engine over reused
+  // scratch (bit-identical to the reference objective).  `first` skips
+  // individuals whose score is already known — the elites, whose fitness
+  // carries over verbatim because the objective is a pure function of
+  // (genome, nz) and elites are verbatim copies.
   GaEvalScratch scratch;
-  std::vector<GenomeRef> refs(pop_size);
   const auto score_population = [&](std::size_t first) {
     for (std::size_t i = first; i < pop_size; ++i) {
-      refs[i] = GenomeRef{population[i].data(), population_nz[i].data(),
-                          population_nz[i].size()};
+      fitness[i] = prob.engine.fitness_sparse(population[i].data(),
+                                              population_nz[i].data(),
+                                              population_nz[i].size(),
+                                              scratch);
     }
-    prob.engine.evaluate_population(refs.data() + first, pop_size - first,
-                                    scratch, fitness.data() + first);
     evals += pop_size - first;
   };
 
@@ -464,28 +391,6 @@ Surrogate find_surrogate_once(const Problem& prob, const SpecData& spec,
   // Scratch reused across generations and children.
   std::vector<std::size_t> order(pop_size);
 
-  // Mutation-screening scratch (options.screen_mutations only): per-parent
-  // cached blends bound lazily once per generation (the per-generation
-  // re-bind is the drift refresh — screens never commit updates), the
-  // per-child screen results, and the batch list for the children that
-  // still need an exact eval.
-  std::vector<GaBlendState> parent_blend;
-  std::vector<int> parent_blend_gen;
-  std::vector<char> child_screened;
-  std::vector<double> screened_fit;
-  std::vector<std::size_t> exact_index;
-  std::vector<double> exact_fit;
-  if (options.screen_mutations) {
-    parent_blend.resize(pop_size);
-    parent_blend_gen.assign(pop_size, -1);
-    child_screened.assign(pop_size, 0);
-    screened_fit.assign(pop_size, 0.0);
-    exact_index.resize(pop_size);
-    exact_fit.resize(pop_size);
-  }
-
-  double best_so_far = 1e300;
-  int stagnant = 0;
   for (int gen = 0; gen < options.generations; ++gen) {
     // Elitism: keep the two best individuals (index tie-break keeps the
     // selection deterministic even under exact fitness ties).
@@ -540,31 +445,6 @@ Surrogate find_surrogate_once(const Problem& prob, const SpecData& spec,
         nz.erase(nz.begin() + static_cast<std::ptrdiff_t>(j));
       }
       prune_to(child, nz, options.max_terms);
-      if (options.screen_mutations) {
-        // Children within 3 weight changes of their first parent (identical
-        // tournament picks, or crossover of near-duplicate parents in a
-        // converged population) are scored through the parent's cached
-        // blend instead of an exact eval.  The diff is taken before the
-        // rescale below — the screen is scale-invariant, so it still
-        // approximates the normalised child's fitness.
-        GaWeightChange changes[kMaxDeltaChanges];
-        const std::size_t diff =
-            genome_diff(child, nz, a, population_nz[pa], changes);
-        if (diff <= 3) {
-          GaBlendState& blend = parent_blend[pa];
-          if (parent_blend_gen[pa] != gen) {
-            prob.engine.bind_blend(blend, a.data(), population_nz[pa].data(),
-                                   population_nz[pa].size());
-            parent_blend_gen[pa] = gen;
-          }
-          screened_fit[filled] =
-              prob.engine.fitness_delta_changes(blend, changes, diff);
-          child_screened[filled] = 1;
-          ++screens;
-        } else {
-          child_screened[filled] = 0;
-        }
-      }
       prob.normalise_scale_sparse(child, nz);
     }
     std::swap(population, next);
@@ -572,32 +452,7 @@ Surrogate find_surrogate_once(const Problem& prob, const SpecData& spec,
     // Elite scores carry over (verbatim copies of already-scored genomes).
     fitness[0] = elite_fit0;
     fitness[1] = elite_fit1;
-    if (!options.screen_mutations) {
-      score_population(2);
-    } else {
-      // Screened children keep their approximate score; the rest batch
-      // through one exact evaluate_population call.
-      std::size_t exact_count = 0;
-      for (std::size_t i = 2; i < pop_size; ++i) {
-        if (child_screened[i]) {
-          fitness[i] = screened_fit[i];
-        } else {
-          refs[exact_count] = GenomeRef{population[i].data(),
-                                        population_nz[i].data(),
-                                        population_nz[i].size()};
-          exact_index[exact_count] = i;
-          ++exact_count;
-        }
-      }
-      if (exact_count > 0) {
-        prob.engine.evaluate_population(refs.data(), exact_count, scratch,
-                                        exact_fit.data());
-        for (std::size_t e = 0; e < exact_count; ++e) {
-          fitness[exact_index[e]] = exact_fit[e];
-        }
-        evals += exact_count;
-      }
-    }
+    score_population(2);
     double gen_best = 1e300;
     for (std::size_t i = 0; i < pop_size; ++i) {
       gen_best = std::min(gen_best, fitness[i]);
@@ -606,15 +461,6 @@ Surrogate find_surrogate_once(const Problem& prob, const SpecData& spec,
     // Convergence series: one sample per generation, attributed to this
     // restart's span/thread, so a trace shows every restart's descent.
     SWAPP_TRACE_COUNTER("ga.best_fitness", gen_best);
-    if (options.stagnation_limit > 0) {
-      if (gen_best < best_so_far) {
-        best_so_far = gen_best;
-        stagnant = 0;
-      } else if (++stagnant >= options.stagnation_limit) {
-        SWAPP_COUNT("ga.stagnation_exits", 1);
-        break;
-      }
-    }
   }
 
   std::size_t best = static_cast<std::size_t>(
@@ -625,22 +471,14 @@ Surrogate find_surrogate_once(const Problem& prob, const SpecData& spec,
   // rescale factors, so its nz list serves every candidate.
   Genome polished = population[best];
   const NzList& polished_nz = population_nz[best];
-  double polished_fit = fitness[best];
-  if (options.screen_mutations) {
-    // Population scores may be approximate in this mode; the polish
-    // baseline (and the returned fitness) must be exact.
-    polished_fit = prob.engine.fitness_sparse(
-        polished.data(), polished_nz.data(), polished_nz.size(), scratch);
-    ++evals;
-  }
   PolishStats polish_stats;
-  polished_fit = polish_genome(prob, polished, polished_nz, polished_fit,
-                               options.polish, 0, scratch, polish_stats);
+  const double polished_fit = polish_genome(prob, polished, polished_nz,
+                                            fitness[best], 0, scratch,
+                                            polish_stats);
   evals += polish_stats.exact_evals;
-  screens += polish_stats.screens;
   const Genome& g = polished;
   SWAPP_COUNT("ga.evals", evals);
-  SWAPP_COUNT("ga.screens", screens);
+  SWAPP_COUNT("ga.screens", polish_stats.screens);
   SWAPP_COUNT("ga.restarts", 1);
 
   Surrogate out;
@@ -756,9 +594,6 @@ struct GaFitnessProber::Impl {
   // Scratch reused across run() calls (what the GA's generation loop does),
   // so the timed path performs no allocations once warm.
   mutable GaEvalScratch scratch;
-  mutable std::vector<double> flat;
-  mutable std::vector<GenomeRef> refs;
-  mutable std::vector<double> fitness;
 };
 
 GaFitnessProber::GaFitnessProber(const machine::PmuCounters& app_st,
@@ -768,7 +603,7 @@ GaFitnessProber::GaFitnessProber(const machine::PmuCounters& app_st,
                                  Seconds app_base_compute)
     : impl_(new Impl{build_problem(app_st, app_smt, weights, spec,
                                    app_base_compute, GaOptions{}),
-                     {}, {}, {}, {}}) {}
+                     {}}) {}
 
 GaFitnessProber::~GaFitnessProber() = default;
 
@@ -786,54 +621,20 @@ double GaFitnessProber::run(const std::vector<double>& genome, int iters,
     if (genome[k] != 0.0) nz.push_back(k);
   }
 
-  // Nudges one weight so the evaluation cannot be hoisted out of the loop.
-  const auto nudge = [&](double* g, int it) {
+  Genome g = genome;
+  double acc = 0.0;
+  for (int it = 0; it < iters; ++it) {
+    // Nudges one weight so the evaluation cannot be hoisted out of the loop.
     for (std::size_t k = 0; k < n; ++k) {
       if (g[k] != 0.0) {
         g[k] = genome[k] * (1.0 + 1e-12 * static_cast<double>(it & 7));
         break;
       }
     }
-  };
-
-  GaEvalScratch& scratch = impl_->scratch;
-  if (kernel == GaKernel::kSoaBatch) {
-    // Batched shape: materialise every iteration's nudged variant up front,
-    // score the whole batch in one call, then accumulate in iteration order
-    // (the same order the scalar kernels add in).
-    const auto count = static_cast<std::size_t>(iters);
-    impl_->flat.resize(count * n);
-    impl_->refs.resize(count);
-    impl_->fitness.resize(count);
-    for (std::size_t it = 0; it < count; ++it) {
-      double* g = impl_->flat.data() + it * n;
-      std::copy(genome.begin(), genome.end(), g);
-      nudge(g, static_cast<int>(it));
-      impl_->refs[it] = GenomeRef{g, nz.data(), nz.size()};
-    }
-    prob.engine.evaluate_population(impl_->refs.data(), count, scratch,
-                                    impl_->fitness.data());
-    double acc = 0.0;
-    for (const double f : impl_->fitness) acc += f;
-    return acc;
-  }
-
-  Genome g = genome;
-  double acc = 0.0;
-  for (int it = 0; it < iters; ++it) {
-    nudge(g.data(), it);
-    switch (kernel) {
-      case GaKernel::kReference:
-        acc += prob.fitness(g);
-        break;
-      case GaKernel::kFused:
-        acc += prob.fitness_fused(g);
-        break;
-      default:
-        acc += prob.engine.fitness_sparse(g.data(), nz.data(), nz.size(),
-                                          scratch);
-        break;
-    }
+    acc += kernel == GaKernel::kReference
+               ? prob.fitness(g)
+               : prob.engine.fitness_sparse(g.data(), nz.data(), nz.size(),
+                                            impl_->scratch);
   }
   return acc;
 }
@@ -851,13 +652,37 @@ double GaFitnessProber::run_polish(const std::vector<double>& genome,
   }
   SWAPP_REQUIRE(!nz.empty(), "polish probe needs a genome with positive terms");
   prob.normalise_scale_sparse(g, nz);
-  const double fit = prob.engine.fitness_sparse(g.data(), nz.data(), nz.size(),
-                                                impl_->scratch);
-  PolishStats stats;
-  const double polished_fit = polish_genome(prob, g, nz, fit, mode,
-                                            min_sweeps, impl_->scratch, stats);
+  GaEvalScratch& scratch = impl_->scratch;
+  double fit = prob.engine.fitness_sparse(g.data(), nz.data(), nz.size(),
+                                          scratch);
+  if (mode == PolishMode::kDeltaScreened) {
+    PolishStats stats;
+    fit = polish_genome(prob, g, nz, fit, min_sweeps, scratch, stats);
+  } else {
+    // The oracle: polish_genome's candidate walk with one exact eval per
+    // candidate and no screen.
+    Genome candidate(g.size(), 0.0);
+    int sweeps = 0;
+    bool improved = true;
+    while (improved || sweeps < min_sweeps) {
+      improved = false;
+      ++sweeps;
+      for (const std::size_t k : nz) {
+        if (g[k] == 0.0) continue;
+        for (const double factor : kPolishFactors) {
+          const double f =
+              polish_candidate(prob, g, nz, k, factor, candidate, scratch);
+          if (f + 1e-12 < fit) {
+            std::swap(g, candidate);
+            fit = f;
+            improved = true;
+          }
+        }
+      }
+    }
+  }
   if (polished_out != nullptr) *polished_out = g;
-  return polished_fit;
+  return fit;
 }
 
 double GaFitnessProber::run_delta(const std::vector<double>& genome,
@@ -874,23 +699,12 @@ double GaFitnessProber::run_delta(const std::vector<double>& genome,
   prob.normalise_scale_sparse(g, nz);
   GaBlendState blend;
   prob.engine.bind_blend(blend, g.data(), nz.data(), nz.size());
-  static constexpr double kFactors[4] = {0.8, 1.25, 0.95, 1.05};
   double acc = 0.0;
   for (int it = 0; it < iters; ++it) {
     const std::size_t j = static_cast<std::size_t>(it) % nz.size();
-    acc += prob.engine.fitness_delta_scale1(blend, j, kFactors[it & 3]);
+    acc += prob.engine.fitness_delta_scale1(blend, j, kPolishFactors[it & 3]);
   }
   return acc;
-}
-
-double ga_fitness_probe(const machine::PmuCounters& app_st,
-                        const machine::PmuCounters& app_smt,
-                        const GroupWeights& weights, const SpecData& spec,
-                        Seconds app_base_compute,
-                        const std::vector<double>& genome, int iters,
-                        GaKernel kernel) {
-  return GaFitnessProber(app_st, app_smt, weights, spec, app_base_compute)
-      .run(genome, iters, kernel);
 }
 
 }  // namespace swapp::core

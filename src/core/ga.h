@@ -57,20 +57,6 @@ struct Surrogate {
   Seconds base_runtime(const SpecIndex& index) const;
 };
 
-/// Polish-loop strategy for the deterministic local refinement that follows
-/// the generation loop.
-enum class PolishMode {
-  /// Screen every one-weight candidate through the O(M) delta path and
-  /// confirm apparent improvements with one exact eval before accepting.
-  /// Acceptance decisions are made only on exact values, so the returned
-  /// Surrogate is bit-identical to kFullEval — this is the default.
-  kDeltaScreened = 0,
-  /// The pre-delta behaviour: one exact `fitness_sparse` (plus a genome
-  /// copy and rescale) per candidate.  Kept selectable as the ground truth
-  /// the screened path is property-tested and benchmarked against.
-  kFullEval = 1,
-};
-
 struct GaOptions {
   int population = 96;
   int generations = 240;
@@ -78,20 +64,6 @@ struct GaOptions {
   int max_terms = 6;           ///< sparsity cap on the surrogate
   double runtime_penalty = 2.0;  ///< λ on the consistency term
   std::uint64_t seed = 0x5eed0001;
-  /// If > 0, a run stops early after this many consecutive generations
-  /// without improving its best fitness.  Deterministic for a fixed seed;
-  /// 0 (default) disables the exit so results match the full-length search.
-  int stagnation_limit = 0;
-  /// Polish strategy; both modes return bit-identical surrogates (the
-  /// screen only decides which candidates get an exact eval).
-  PolishMode polish = PolishMode::kDeltaScreened;
-  /// Opt-in: score children that differ from their first parent in at most
-  /// 3 weights through the parent's cached blend instead of an exact eval
-  /// (the best individual is re-evaluated exactly before polish).  Screened
-  /// population fitness can flip tournament/elitism comparisons, so this
-  /// mode trades the search's bit-identity to the exact path for fewer
-  /// full evaluations in converged populations — off by default.
-  bool screen_mutations = false;
 };
 
 /// Runs the search.  `app_st`/`app_smt` are the application's counters on
@@ -114,27 +86,35 @@ Surrogate find_surrogate(const machine::PmuCounters& app_st,
                          Seconds app_base_compute,
                          const GaOptions& options = {});
 
-/// Objective-kernel selector for `ga_fitness_probe`.
+/// Objective-kernel selector for `GaFitnessProber::run`.  The values are
+/// the `BM_GaFitnessKernel` benchmark arguments.
 enum class GaKernel {
   /// Three-pass reference (metric_distance + runtime_error + combine), the
-  /// ground truth every faster kernel is checked against.
+  /// oracle the production kernel is checked against.
   kReference = 0,
-  /// PR 1's fused single-pass AoS kernel, kept compiled in as the speedup
-  /// baseline for the SoA engine.
-  kFused = 1,
-  /// SoA engine, per-genome sparse evaluation (ga_eval.h).
+  /// The production kernel: SoA engine, per-genome sparse evaluation
+  /// (ga_eval.h).
   kSoaSparse = 2,
-  /// SoA engine, whole-batch evaluation: all `iters` genome variants are
-  /// prepared up front and scored in one `evaluate_population` call — the
-  /// shape of the GA's per-generation population scoring.
-  kSoaBatch = 3,
+};
+
+/// Polish-loop selector for `GaFitnessProber::run_polish`.
+enum class PolishMode {
+  /// The GA's polish: screen every one-weight candidate through the O(M)
+  /// delta path and confirm apparent improvements with one exact eval
+  /// before accepting.
+  kDeltaScreened = 0,
+  /// Oracle: one exact `fitness_sparse` (plus a genome copy and rescale)
+  /// per candidate.  Acceptance is decided on exact values in both modes,
+  /// so both return bit-identical results.
+  kFullEval = 1,
 };
 
 /// Benchmark hook (bench_micro) and bit-identity probe: a prebuilt GA
-/// problem whose objective can be evaluated through any of the four kernels.
-/// Building the problem (signature conversion, transposes, scales) happens
-/// once in the constructor, so `run` times the kernels themselves.  Not
-/// thread-safe: `run` reuses internal scratch across calls.
+/// problem whose objective and polish loop can be run through the
+/// production path or its oracle.  Building the problem (signature
+/// conversion, pair interleaving, scales) happens once in the constructor,
+/// so `run` times the kernels themselves.  Not thread-safe: `run` reuses
+/// internal scratch across calls.
 class GaFitnessProber {
  public:
   GaFitnessProber(const machine::PmuCounters& app_st,
@@ -146,8 +126,8 @@ class GaFitnessProber {
   /// Evaluates the objective on `genome` (one weight per suite benchmark,
   /// in `spec.names` order) `iters` times — each iteration perturbing one
   /// weight by a structure-preserving nudge — and returns the accumulated
-  /// value.  All four kernels must return bit-identical accumulations for
-  /// the same inputs (tests/test_ga_eval.cpp asserts exactly that).
+  /// value.  Both kernels must return bit-identical accumulations for the
+  /// same inputs (tests/test_ga_eval.cpp asserts exactly that).
   double run(const std::vector<double>& genome, int iters,
              GaKernel kernel) const;
 
@@ -166,21 +146,12 @@ class GaFitnessProber {
 
   /// Times the raw delta-screen kernel: binds the genome's blend once and
   /// performs `iters` one-weight screens (cycling term and factor),
-  /// returning the accumulated screen values.  Pin the tier with
-  /// `set_ga_delta_tier` (ga_eval.h) to probe a specific ISA.
+  /// returning the accumulated screen values.
   double run_delta(const std::vector<double>& genome, int iters) const;
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// One-shot convenience over GaFitnessProber (build + run).
-double ga_fitness_probe(const machine::PmuCounters& app_st,
-                        const machine::PmuCounters& app_smt,
-                        const GroupWeights& weights, const SpecData& spec,
-                        Seconds app_base_compute,
-                        const std::vector<double>& genome, int iters,
-                        GaKernel kernel);
 
 }  // namespace swapp::core

@@ -1,16 +1,9 @@
 #include "core/ga_eval.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <string>
+#include <cstring>
 
 #include "support/error.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define SWAPP_GA_EVAL_SIMD 1
-#include <immintrin.h>
-#endif
 
 namespace swapp::core {
 
@@ -28,19 +21,15 @@ void GaEvalEngine::build(
                 "benchmark array sizes disagree");
   SWAPP_REQUIRE(app_compute > 0.0, "app compute time must be positive");
   n_ = bench_st.size();
-  st_ = machine::transpose_metric_major(bench_st);
-  smt_ = machine::transpose_metric_major(bench_smt);
   pairs_.assign(n_ * 2 * machine::kMetricCount, 0.0);
   for (std::size_t k = 0; k < n_; ++k) {
     double* row = pairs_.data() + k * 2 * machine::kMetricCount;
     for (std::size_t i = 0; i < machine::kMetricCount; ++i) {
-      row[2 * i] = st_[i * n_ + k];
-      row[2 * i + 1] = smt_[i * n_ + k];
+      row[2 * i] = bench_st[k].values[i];
+      row[2 * i + 1] = bench_smt[k].values[i];
     }
   }
   base_time_ = base_time;
-  app_st_ = app_st.values;
-  app_smt_ = app_smt.values;
   for (std::size_t i = 0; i < machine::kMetricCount; ++i) {
     app_pair_[2 * i] = app_st.values[i];
     app_pair_[2 * i + 1] = app_smt.values[i];
@@ -54,7 +43,6 @@ void GaEvalEngine::build(
     mw_pair_[2 * i] = metric_weight[i];
     mw_pair_[2 * i + 1] = metric_weight[i];
   }
-  scale_ = scale;
   metric_weight_ = metric_weight;
   app_compute_ = app_compute;
   lambda_ = lambda;
@@ -62,569 +50,81 @@ void GaEvalEngine::build(
 
 namespace {
 
-/// Everything a kernel needs, gathered once per engine entry point.  The
-/// kernels are free functions behind a pointer so the SIMD tiers can carry
-/// `target` attributes (they must stay out-of-line in a baseline-ISA TU).
-struct EvalCtx {
-  const double* st = nullptr;     // metric-major (portable kernel)
-  const double* smt = nullptr;    // metric-major (portable kernel)
-  const double* pairs = nullptr;  // ST/SMT pair-interleaved (SIMD kernels)
-  const double* base_time = nullptr;
-  const double* app_st = nullptr;
-  const double* app_smt = nullptr;
-  const double* app_pair = nullptr;
-  const double* scale = nullptr;
-  const double* scale_pair = nullptr;
-  const double* metric_weight = nullptr;
-  double app_compute = 0.0;
-  double lambda = 0.0;
-  std::size_t n = 0;
-};
+/// One (ST, SMT) lane pair.  GCC lowers the arithmetic to two-lane vector
+/// instructions where the target has them (mulpd/addpd/divpd on x86-64) and
+/// to scalar pairs elsewhere; either way each lane is one IEEE operation on
+/// its scalar operands, which is what the bit-identity contract needs.
+typedef double Pair __attribute__((vector_size(16)));
 
-using EvalFn = double (*)(const EvalCtx&, const double* genome,
-                          const std::size_t* nz, std::size_t nz_count,
-                          double* share, double* distance_out,
-                          double* runtime_error_out);
-
-/// Portable scalar kernel over the metric-major layout.  Pass 1 totals the
-/// runtime shares in ascending-k order; pass 2 materialises the per-term
-/// shares (independent divisions); pass 3 blends and measures per metric,
-/// each accumulator fed in ascending-k order with the reference expression
-/// shapes.  This is the shape the bit-identity argument in ga_eval.h is
-/// written against; the SIMD tiers below reproduce it lane for lane.
-[[maybe_unused]] double eval_one_generic(
-    const EvalCtx& c, const double* genome, const std::size_t* nz,
-    std::size_t nz_count, double* share, double* distance_out,
-    double* runtime_error_out) {
-  double share_total = 0.0;
-  for (std::size_t j = 0; j < nz_count; ++j) {
-    share_total += genome[nz[j]] * c.base_time[nz[j]];
-  }
-  const double rerr = std::abs(share_total - c.app_compute) / c.app_compute;
-
-  double distance;
-  if (share_total <= 0.0) {
-    distance = 1e18;
-  } else {
-    for (std::size_t j = 0; j < nz_count; ++j) {
-      share[j] = genome[nz[j]] * c.base_time[nz[j]] / share_total;
-    }
-    distance = 0.0;
-    for (std::size_t i = 0; i < machine::kMetricCount; ++i) {
-      const double* st_row = c.st + i * c.n;
-      const double* smt_row = c.smt + i * c.n;
-      double blend_st = 0.0;
-      double blend_smt = 0.0;
-      for (std::size_t j = 0; j < nz_count; ++j) {
-        blend_st += share[j] * st_row[nz[j]];
-        blend_smt += share[j] * smt_row[nz[j]];
-      }
-      const double d_st = (blend_st - c.app_st[i]) / c.scale[i];
-      const double d_smt = (blend_smt - c.app_smt[i]) / c.scale[i];
-      distance += c.metric_weight[i] * (d_st * d_st + d_smt * d_smt);
-    }
-  }
-  if (distance_out) *distance_out = distance;
-  if (runtime_error_out) *runtime_error_out = rerr;
-  return distance + c.lambda * rerr * rerr;
+/// Unaligned load of p[0], p[1] (std::array members are only 8-byte
+/// aligned).
+inline Pair load_pair(const double* p) {
+  Pair v = {};
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-#ifdef SWAPP_GA_EVAL_SIMD
-
-static_assert(machine::kMetricCount % 8 == 0,
-              "SIMD kernels block the metric loop by 8");
-
-/// SSE2 kernel: every (st, smt) lane pair advances through one `divpd` /
-/// `mulpd` / `addpd`, so each lane executes exactly the scalar operation
-/// sequence on exactly the scalar operands — IEEE makes the lanes
-/// bit-identical to eval_one_generic.  The metric loop is blocked by 8 so
-/// the 8 pair-accumulators of a block live in registers; blocks run in
-/// ascending metric order, preserving the distance sum's order.  x86-64
-/// always has SSE2, so this is the portable floor on that architecture.
-double eval_one_sse2(const EvalCtx& c, const double* genome,
-                     const std::size_t* nz, std::size_t nz_count,
-                     double* share, double* distance_out,
-                     double* runtime_error_out) {
-  double share_total = 0.0;
-  for (std::size_t j = 0; j < nz_count; ++j) {
-    share_total += genome[nz[j]] * c.base_time[nz[j]];
-  }
-  const double rerr = std::abs(share_total - c.app_compute) / c.app_compute;
-
-  double distance;
-  if (share_total <= 0.0) {
-    distance = 1e18;
-  } else {
-    // Shares two at a time: (w·t) / total per lane, same mul-then-div shape
-    // as the scalar expression.
-    const __m128d vtot = _mm_set1_pd(share_total);
-    std::size_t j = 0;
-    for (; j + 2 <= nz_count; j += 2) {
-      const __m128d g = _mm_set_pd(genome[nz[j + 1]], genome[nz[j]]);
-      const __m128d t = _mm_set_pd(c.base_time[nz[j + 1]], c.base_time[nz[j]]);
-      _mm_storeu_pd(share + j, _mm_div_pd(_mm_mul_pd(g, t), vtot));
-    }
-    for (; j < nz_count; ++j) {
-      share[j] = genome[nz[j]] * c.base_time[nz[j]] / share_total;
-    }
-
-    distance = 0.0;
-    for (std::size_t ib = 0; ib < machine::kMetricCount; ib += 8) {
-      __m128d acc[8];
-      for (auto& a : acc) a = _mm_setzero_pd();
-      for (std::size_t jj = 0; jj < nz_count; ++jj) {
-        const __m128d s = _mm_set1_pd(share[jj]);
-        const double* row =
-            c.pairs + nz[jj] * 2 * machine::kMetricCount + 2 * ib;
-#pragma GCC unroll 8
-        for (int u = 0; u < 8; ++u) {
-          acc[u] =
-              _mm_add_pd(acc[u], _mm_mul_pd(s, _mm_loadu_pd(row + 2 * u)));
-        }
-      }
-#pragma GCC unroll 8
-      for (int u = 0; u < 8; ++u) {
-        const std::size_t i = ib + static_cast<std::size_t>(u);
-        const __m128d d =
-            _mm_div_pd(_mm_sub_pd(acc[u], _mm_loadu_pd(c.app_pair + 2 * i)),
-                       _mm_loadu_pd(c.scale_pair + 2 * i));
-        const __m128d sq = _mm_mul_pd(d, d);
-        const double both =
-            _mm_cvtsd_f64(sq) + _mm_cvtsd_f64(_mm_unpackhi_pd(sq, sq));
-        distance += c.metric_weight[i] * both;
-      }
-    }
-  }
-  if (distance_out) *distance_out = distance;
-  if (runtime_error_out) *runtime_error_out = rerr;
-  return distance + c.lambda * rerr * rerr;
-}
-
-/// AVX2 kernel (runtime-dispatched): two metric pairs per 256-bit vector —
-/// lanes {st_i, smt_i, st_i+1, smt_i+1}.  No FMA: the function's target
-/// enables avx2 only, so mul and add stay separate roundings and every lane
-/// remains the exact scalar sequence.  Distance terms are extracted and
-/// summed per metric in ascending order.
-__attribute__((target("avx2"))) double eval_one_avx2(
-    const EvalCtx& c, const double* genome, const std::size_t* nz,
-    std::size_t nz_count, double* share, double* distance_out,
-    double* runtime_error_out) {
-  double share_total = 0.0;
-  for (std::size_t j = 0; j < nz_count; ++j) {
-    share_total += genome[nz[j]] * c.base_time[nz[j]];
-  }
-  const double rerr = std::abs(share_total - c.app_compute) / c.app_compute;
-
-  double distance;
-  if (share_total <= 0.0) {
-    distance = 1e18;
-  } else {
-    // Shares two at a time: (w·t) / total per lane, same mul-then-div shape
-    // as the scalar expression.
-    const __m128d vtot = _mm_set1_pd(share_total);
-    std::size_t j = 0;
-    for (; j + 2 <= nz_count; j += 2) {
-      const __m128d g = _mm_set_pd(genome[nz[j + 1]], genome[nz[j]]);
-      const __m128d t = _mm_set_pd(c.base_time[nz[j + 1]], c.base_time[nz[j]]);
-      _mm_storeu_pd(share + j, _mm_div_pd(_mm_mul_pd(g, t), vtot));
-    }
-    for (; j < nz_count; ++j) {
-      share[j] = genome[nz[j]] * c.base_time[nz[j]] / share_total;
-    }
-
-    __m256d acc[machine::kMetricCount / 2];
-    for (auto& a : acc) a = _mm256_setzero_pd();
-    for (std::size_t jj = 0; jj < nz_count; ++jj) {
-      const __m256d s = _mm256_broadcast_sd(share + jj);
-      const double* row = c.pairs + nz[jj] * 2 * machine::kMetricCount;
-#pragma GCC unroll 8
-      for (int u = 0; u < static_cast<int>(machine::kMetricCount / 2); ++u) {
-        acc[u] =
-            _mm256_add_pd(acc[u], _mm256_mul_pd(s, _mm256_loadu_pd(row + 4 * u)));
-      }
-    }
-    distance = 0.0;
-#pragma GCC unroll 8
-    for (int u = 0; u < static_cast<int>(machine::kMetricCount / 2); ++u) {
-      const __m256d d = _mm256_div_pd(
-          _mm256_sub_pd(acc[u], _mm256_loadu_pd(c.app_pair + 4 * u)),
-          _mm256_loadu_pd(c.scale_pair + 4 * u));
-      const __m256d sq = _mm256_mul_pd(d, d);
-      const __m128d lo = _mm256_castpd256_pd128(sq);
-      const __m128d hi = _mm256_extractf128_pd(sq, 1);
-      const double lo_both =
-          _mm_cvtsd_f64(lo) + _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
-      const double hi_both =
-          _mm_cvtsd_f64(hi) + _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
-      distance += c.metric_weight[2 * u] * lo_both;
-      distance += c.metric_weight[2 * u + 1] * hi_both;
-    }
-  }
-  if (distance_out) *distance_out = distance;
-  if (runtime_error_out) *runtime_error_out = rerr;
-  return distance + c.lambda * rerr * rerr;
-}
-
-/// AVX-512F kernel: four metric pairs per 512-bit vector.  Same lane-wise
-/// scalar sequence as the narrower tiers (mul and add separate, one IEEE
-/// divide per lane); the shorter instruction stream lets the out-of-order
-/// core keep more independent evaluations in flight, which is where the
-/// batch path's extra throughput comes from.
-///
-/// fp-contract must be pinned off here: unlike target("avx2"), the avx512f
-/// target enables the FMA ISA, and GCC lowers _mm512_mul_pd/_mm512_add_pd to
-/// generic vector ops that the default -ffp-contract=fast then fuses into
-/// vfmadd — a different rounding than the reference's separate mul and add,
-/// which would break the bit-identity contract (caught by
-/// tests/test_ga_eval.cpp).
-__attribute__((target("avx512f,avx512dq"),
-               optimize("fp-contract=off"))) double
-eval_one_avx512(
-    const EvalCtx& c, const double* genome, const std::size_t* nz,
-    std::size_t nz_count, double* share, double* distance_out,
-    double* runtime_error_out) {
-  double share_total = 0.0;
-  for (std::size_t j = 0; j < nz_count; ++j) {
-    share_total += genome[nz[j]] * c.base_time[nz[j]];
-  }
-  const double rerr = std::abs(share_total - c.app_compute) / c.app_compute;
-
-  double distance;
-  if (share_total <= 0.0) {
-    distance = 1e18;
-  } else {
-    const __m128d vtot = _mm_set1_pd(share_total);
-    std::size_t j = 0;
-    for (; j + 2 <= nz_count; j += 2) {
-      const __m128d g = _mm_set_pd(genome[nz[j + 1]], genome[nz[j]]);
-      const __m128d t = _mm_set_pd(c.base_time[nz[j + 1]], c.base_time[nz[j]]);
-      _mm_storeu_pd(share + j, _mm_div_pd(_mm_mul_pd(g, t), vtot));
-    }
-    for (; j < nz_count; ++j) {
-      share[j] = genome[nz[j]] * c.base_time[nz[j]] / share_total;
-    }
-
-    __m512d acc[machine::kMetricCount / 4];
-    for (auto& a : acc) a = _mm512_setzero_pd();
-    for (std::size_t jj = 0; jj < nz_count; ++jj) {
-      const __m512d s = _mm512_set1_pd(share[jj]);
-      const double* row = c.pairs + nz[jj] * 2 * machine::kMetricCount;
-#pragma GCC unroll 4
-      for (int u = 0; u < static_cast<int>(machine::kMetricCount / 4); ++u) {
-        acc[u] = _mm512_add_pd(acc[u],
-                               _mm512_mul_pd(s, _mm512_loadu_pd(row + 8 * u)));
-      }
-    }
-    distance = 0.0;
-    // Lane gather for the reduction: [st0,st1,st2,st3, smt0,smt1,smt2,smt3]
-    // from the pair-interleaved squares, so st²+smt² per metric is one ymm
-    // add and w[i]·both one ymm mul — each lane still the exact scalar
-    // operation the reference performs (same operand pair, one rounding).
-    const __m512i gather_idx = _mm512_setr_epi64(0, 2, 4, 6, 1, 3, 5, 7);
-#pragma GCC unroll 4
-    for (int u = 0; u < static_cast<int>(machine::kMetricCount / 4); ++u) {
-      const __m512d d = _mm512_div_pd(
-          _mm512_sub_pd(acc[u], _mm512_loadu_pd(c.app_pair + 8 * u)),
-          _mm512_loadu_pd(c.scale_pair + 8 * u));
-      const __m512d sq = _mm512_mul_pd(d, d);
-      // maskz/mask forms with an explicit source instead of the plain
-      // intrinsics: GCC 12's unmasked helpers route through
-      // _mm512_undefined_pd and trip -Wmaybe-uninitialized; full masks make
-      // them the identical instruction with a defined (ignored) source.
-      const __m512d perm = _mm512_maskz_permutexvar_pd(0xFF, gather_idx, sq);
-      const __m256d st2 = _mm512_mask_extractf64x4_pd(
-          _mm256_setzero_pd(), 0xF, perm, 0);
-      const __m256d smt2 = _mm512_mask_extractf64x4_pd(
-          _mm256_setzero_pd(), 0xF, perm, 1);
-      const __m256d both = _mm256_add_pd(st2, smt2);
-      const __m256d weighted = _mm256_mul_pd(
-          both, _mm256_loadu_pd(c.metric_weight + 4 * u));
-      // The running `distance` chain itself stays scalar and ascending —
-      // that order is what the bit-identity contract pins down.
-      const __m128d lo = _mm256_castpd256_pd128(weighted);
-      const __m128d hi = _mm256_extractf128_pd(weighted, 1);
-      distance += _mm_cvtsd_f64(lo);
-      distance += _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
-      distance += _mm_cvtsd_f64(hi);
-      distance += _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
-    }
-  }
-  if (distance_out) *distance_out = distance;
-  if (runtime_error_out) *runtime_error_out = rerr;
-  return distance + c.lambda * rerr * rerr;
-}
-
-EvalFn select_eval() {
-  // SWAPP_GA_EVAL pins a specific tier (generic | sse2 | avx2 | avx512) —
-  // a diagnostics/benchmarking hook, not a tuning knob: every tier is
-  // bit-identical, so the override can never change results.
-  if (const char* env = std::getenv("SWAPP_GA_EVAL")) {
-    const std::string tier(env);
-    if (tier == "generic") return &eval_one_generic;
-    if (tier == "sse2") return &eval_one_sse2;
-    if (tier == "avx2") return &eval_one_avx2;
-    if (tier == "avx512") return &eval_one_avx512;
-    SWAPP_REQUIRE(false, "unknown SWAPP_GA_EVAL tier '" + tier +
-                             "' (want generic|sse2|avx2|avx512)");
-  }
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512dq")) {
-    return &eval_one_avx512;
-  }
-  if (__builtin_cpu_supports("avx2")) return &eval_one_avx2;
-  return &eval_one_sse2;
-}
-
-#else
-
-EvalFn select_eval() { return &eval_one_generic; }
-
-#endif  // SWAPP_GA_EVAL_SIMD
-
-/// Resolved once before main (namespace-scope initialisation), so the hot
-/// paths pay one indirect call and no branch.
-const EvalFn g_eval = select_eval();
-
-// --- Delta-screen kernels --------------------------------------------------
-//
-// The screen evaluates, in one O(M) pass over a GaBlendState's cached
-// numerators, the metric distance of `(num + Σ dwt_c · row_c) / (total +
-// Σ dwt_c)` — the blended metric vector after a few-weight change, whose
-// distance is invariant under the global rescale the exact path performs.
-// Unlike the exact kernels the screen has no bit-identity contract: it
-// exists to *reject* candidates cheaply, so a reciprocal multiply replaces
-// the per-lane divide and the post-rescale runtime penalty (λ·rerr² ≈
-// 1e-31) is dropped.  The tiers still keep mul and add unfused (the
-// AVX-512 tier pins fp-contract=off like its exact sibling) so a screen
-// value never depends on which tier computed it beyond ordinary
-// reassociation-free rounding — which keeps the screen-vs-exact error
-// bound (~1e-12 absolute, far under the confirm margin) tier-independent.
-
-/// Engine precomputes a delta kernel needs, gathered per entry point.
-struct DeltaCtx {
-  const double* num = nullptr;  // 2·kMetricCount cached blend numerators
-  const double* app_pair = nullptr;
-  const double* inv_scale_pair = nullptr;
-  const double* mw_pair = nullptr;
-};
-
-/// `rows[c]` is the pair-interleaved signature row of changed slot c,
-/// `dwt[c]` its weight·base-time change; `inv` = 1 / (total + Σ dwt).
-using DeltaFn = double (*)(const DeltaCtx&, double inv,
-                           const double* const* rows, const double* dwt,
-                           std::size_t count);
-
-double delta_one_generic(const DeltaCtx& c, double inv,
-                         const double* const* rows, const double* dwt,
-                         std::size_t count) {
-  double acc = 0.0;
-  for (std::size_t l = 0; l < 2 * machine::kMetricCount; ++l) {
-    double p = c.num[l];
-    for (std::size_t t = 0; t < count; ++t) p += dwt[t] * rows[t][l];
-    const double d = (p * inv - c.app_pair[l]) * c.inv_scale_pair[l];
-    acc += c.mw_pair[l] * (d * d);
-  }
-  return acc;
-}
-
-#ifdef SWAPP_GA_EVAL_SIMD
-
-double delta_one_sse2(const DeltaCtx& c, double inv,
-                      const double* const* rows, const double* dwt,
-                      std::size_t count) {
-  const __m128d vinv = _mm_set1_pd(inv);
-  __m128d vacc = _mm_setzero_pd();
-  for (std::size_t l = 0; l < 2 * machine::kMetricCount; l += 2) {
-    __m128d p = _mm_loadu_pd(c.num + l);
-    for (std::size_t t = 0; t < count; ++t) {
-      p = _mm_add_pd(p,
-                     _mm_mul_pd(_mm_set1_pd(dwt[t]), _mm_loadu_pd(rows[t] + l)));
-    }
-    const __m128d d = _mm_mul_pd(
-        _mm_sub_pd(_mm_mul_pd(p, vinv), _mm_loadu_pd(c.app_pair + l)),
-        _mm_loadu_pd(c.inv_scale_pair + l));
-    vacc = _mm_add_pd(
-        vacc, _mm_mul_pd(_mm_loadu_pd(c.mw_pair + l), _mm_mul_pd(d, d)));
-  }
-  return _mm_cvtsd_f64(vacc) + _mm_cvtsd_f64(_mm_unpackhi_pd(vacc, vacc));
-}
-
-__attribute__((target("avx2"))) double delta_one_avx2(
-    const DeltaCtx& c, double inv, const double* const* rows,
-    const double* dwt, std::size_t count) {
-  const __m256d vinv = _mm256_set1_pd(inv);
-  __m256d vacc = _mm256_setzero_pd();
-  for (std::size_t l = 0; l < 2 * machine::kMetricCount; l += 4) {
-    __m256d p = _mm256_loadu_pd(c.num + l);
-    for (std::size_t t = 0; t < count; ++t) {
-      p = _mm256_add_pd(p, _mm256_mul_pd(_mm256_set1_pd(dwt[t]),
-                                         _mm256_loadu_pd(rows[t] + l)));
-    }
-    const __m256d d = _mm256_mul_pd(
-        _mm256_sub_pd(_mm256_mul_pd(p, vinv), _mm256_loadu_pd(c.app_pair + l)),
-        _mm256_loadu_pd(c.inv_scale_pair + l));
-    vacc = _mm256_add_pd(
-        vacc, _mm256_mul_pd(_mm256_loadu_pd(c.mw_pair + l), _mm256_mul_pd(d, d)));
-  }
-  const __m128d lo = _mm256_castpd256_pd128(vacc);
-  const __m128d hi = _mm256_extractf128_pd(vacc, 1);
-  const __m128d sum = _mm_add_pd(lo, hi);
-  return _mm_cvtsd_f64(sum) + _mm_cvtsd_f64(_mm_unpackhi_pd(sum, sum));
-}
-
-/// fp-contract pinned off for the same reason as eval_one_avx512: the
-/// avx512f target enables FMA and -ffp-contract=fast would fuse the
-/// mul/add pairs, making this tier's screen values drift from the others'.
-__attribute__((target("avx512f,avx512dq"),
-               optimize("fp-contract=off"))) double
-delta_one_avx512(const DeltaCtx& c, double inv, const double* const* rows,
-                 const double* dwt, std::size_t count) {
-  const __m512d vinv = _mm512_set1_pd(inv);
-  __m512d vacc = _mm512_setzero_pd();
-  for (std::size_t l = 0; l < 2 * machine::kMetricCount; l += 8) {
-    __m512d p = _mm512_loadu_pd(c.num + l);
-    for (std::size_t t = 0; t < count; ++t) {
-      p = _mm512_add_pd(p, _mm512_mul_pd(_mm512_set1_pd(dwt[t]),
-                                         _mm512_loadu_pd(rows[t] + l)));
-    }
-    const __m512d d = _mm512_mul_pd(
-        _mm512_sub_pd(_mm512_mul_pd(p, vinv), _mm512_loadu_pd(c.app_pair + l)),
-        _mm512_loadu_pd(c.inv_scale_pair + l));
-    vacc = _mm512_add_pd(
-        vacc, _mm512_mul_pd(_mm512_loadu_pd(c.mw_pair + l), _mm512_mul_pd(d, d)));
-  }
-  // Masked extracts with an explicit zero source for the reduction — the
-  // plain _mm512_reduce_add_pd helper routes through _mm512_undefined_pd
-  // and trips GCC 12's -Wmaybe-uninitialized (same idiom as the exact
-  // AVX-512 kernel above).
-  const __m256d lo = _mm512_mask_extractf64x4_pd(_mm256_setzero_pd(), 0xF,
-                                                 vacc, 0);
-  const __m256d hi = _mm512_mask_extractf64x4_pd(_mm256_setzero_pd(), 0xF,
-                                                 vacc, 1);
-  const __m256d sum4 = _mm256_add_pd(lo, hi);
-  const __m128d sum2 = _mm_add_pd(_mm256_castpd256_pd128(sum4),
-                                  _mm256_extractf128_pd(sum4, 1));
-  return _mm_cvtsd_f64(sum2) + _mm_cvtsd_f64(_mm_unpackhi_pd(sum2, sum2));
-}
-
-#endif  // SWAPP_GA_EVAL_SIMD
-
-/// Maps a tier name to its kernel; `ok` reports whether this CPU can run
-/// it.  "" means auto-select (env pin honoured, then best supported ISA).
-DeltaFn delta_for_tier(const std::string& tier, bool& ok) {
-  ok = true;
-  if (tier == "generic") return &delta_one_generic;
-#ifdef SWAPP_GA_EVAL_SIMD
-  if (tier == "sse2") return &delta_one_sse2;
-  if (tier == "avx2") {
-    ok = __builtin_cpu_supports("avx2");
-    return &delta_one_avx2;
-  }
-  if (tier == "avx512") {
-    ok = __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512dq");
-    return &delta_one_avx512;
-  }
-#endif
-  ok = false;
-  return &delta_one_generic;
-}
-
-DeltaFn select_delta() {
-  // Same SWAPP_GA_EVAL pin as the exact kernels: pinning a tier pins both
-  // dispatches, so a pinned run exercises one ISA end to end.
-  if (const char* env = std::getenv("SWAPP_GA_EVAL")) {
-    bool ok = false;
-    DeltaFn fn = delta_for_tier(env, ok);
-    SWAPP_REQUIRE(ok, "unknown or unsupported SWAPP_GA_EVAL tier '" +
-                          std::string(env) +
-                          "' (want generic|sse2|avx2|avx512)");
-    return fn;
-  }
-#ifdef SWAPP_GA_EVAL_SIMD
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512dq")) {
-    return &delta_one_avx512;
-  }
-  if (__builtin_cpu_supports("avx2")) return &delta_one_avx2;
-  return &delta_one_sse2;
-#else
-  return &delta_one_generic;
-#endif
-}
-
-/// Unlike g_eval this dispatch is an atomic: set_ga_delta_tier lets tests
-/// and benchmarks sweep every supported tier within one process, including
-/// while GA restarts run on pool threads (relaxed loads — tier switches
-/// need no ordering because every tier computes the same screen).
-std::atomic<DeltaFn> g_delta{select_delta()};
+inline Pair splat(double x) { return Pair{x, x}; }
 
 }  // namespace
 
-bool set_ga_delta_tier(const std::string& tier) {
-  if (tier.empty()) {
-    g_delta.store(select_delta(), std::memory_order_relaxed);
-    return true;
-  }
-  bool ok = false;
-  const DeltaFn fn = delta_for_tier(tier, ok);
-  if (!ok) return false;
-  g_delta.store(fn, std::memory_order_relaxed);
-  return true;
-}
-
-std::vector<std::string> ga_delta_supported_tiers() {
-  std::vector<std::string> out{"generic"};
-#ifdef SWAPP_GA_EVAL_SIMD
-  out.push_back("sse2");
-  if (__builtin_cpu_supports("avx2")) out.push_back("avx2");
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512dq")) {
-    out.push_back("avx512");
-  }
-#endif
-  return out;
-}
-
+/// Exact objective.  Pass 1 totals the runtime shares in ascending-k order;
+/// pass 2 materialises the per-term shares; pass 3 blends and measures per
+/// metric pair, each accumulator fed in ascending-k order with the
+/// reference expression shapes.  The metric loop is blocked by 8 pairs and
+/// unrolled so a block's accumulators stay in registers; blocks run in
+/// ascending metric order, preserving the distance sum's order.
 double GaEvalEngine::fitness_sparse(const double* genome,
                                     const std::size_t* nz,
                                     std::size_t nz_count,
                                     GaEvalScratch& scratch,
                                     double* distance_out,
                                     double* runtime_error_out) const {
+  constexpr std::size_t kBlock = 8;
+  static_assert(machine::kMetricCount % kBlock == 0,
+                "the metric loop is blocked by 8");
   SWAPP_ASSERT(n_ > 0, "GaEvalEngine used before build()");
   if (scratch.share.size() < nz_count) scratch.share.resize(nz_count);
-  const EvalCtx c{st_.data(),         smt_.data(),
-                  pairs_.data(),      base_time_.data(),
-                  app_st_.data(),     app_smt_.data(),
-                  app_pair_.data(),   scale_.data(),
-                  scale_pair_.data(), metric_weight_.data(),
-                  app_compute_,       lambda_,
-                  n_};
-  return g_eval(c, genome, nz, nz_count, scratch.share.data(), distance_out,
-                runtime_error_out);
-}
-
-void GaEvalEngine::evaluate_population(const GenomeRef* batch,
-                                       std::size_t count,
-                                       GaEvalScratch& scratch,
-                                       double* fitness_out) const {
-  SWAPP_ASSERT(n_ > 0, "GaEvalEngine used before build()");
-  if (scratch.share.size() < n_) scratch.share.resize(n_);
   double* share = scratch.share.data();
-  const EvalCtx c{st_.data(),         smt_.data(),
-                  pairs_.data(),      base_time_.data(),
-                  app_st_.data(),     app_smt_.data(),
-                  app_pair_.data(),   scale_.data(),
-                  scale_pair_.data(), metric_weight_.data(),
-                  app_compute_,       lambda_,
-                  n_};
-  for (std::size_t b = 0; b < count; ++b) {
-    const GenomeRef& ref = batch[b];
-    SWAPP_ASSERT(ref.nz_count <= n_, "nz list longer than the suite");
-    fitness_out[b] =
-        g_eval(c, ref.genome, ref.nz, ref.nz_count, share, nullptr, nullptr);
+
+  double share_total = 0.0;
+  for (std::size_t j = 0; j < nz_count; ++j) {
+    share_total += genome[nz[j]] * base_time_[nz[j]];
   }
+  const double rerr = std::abs(share_total - app_compute_) / app_compute_;
+
+  double distance;
+  if (share_total <= 0.0) {
+    distance = 1e18;
+  } else {
+    for (std::size_t j = 0; j < nz_count; ++j) {
+      share[j] = genome[nz[j]] * base_time_[nz[j]] / share_total;
+    }
+    distance = 0.0;
+    for (std::size_t ib = 0; ib < machine::kMetricCount; ib += kBlock) {
+      Pair acc[kBlock] = {};
+      for (std::size_t j = 0; j < nz_count; ++j) {
+        const Pair s = splat(share[j]);
+        const double* row =
+            pairs_.data() + nz[j] * 2 * machine::kMetricCount + 2 * ib;
+#pragma GCC unroll 8
+        for (std::size_t u = 0; u < kBlock; ++u) {
+          acc[u] += s * load_pair(row + 2 * u);
+        }
+      }
+#pragma GCC unroll 8
+      for (std::size_t u = 0; u < kBlock; ++u) {
+        const std::size_t i = ib + u;
+        const Pair d = (acc[u] - load_pair(&app_pair_[2 * i])) /
+                       load_pair(&scale_pair_[2 * i]);
+        const Pair sq = d * d;
+        distance += metric_weight_[i] * (sq[0] + sq[1]);
+      }
+    }
+  }
+  if (distance_out) *distance_out = distance;
+  if (runtime_error_out) *runtime_error_out = rerr;
+  return distance + lambda_ * rerr * rerr;
 }
 
 void GaEvalEngine::bind_blend(GaBlendState& state, const double* genome,
@@ -651,6 +151,12 @@ void GaEvalEngine::bind_blend(GaBlendState& state, const double* genome,
   state.bound_ = true;
 }
 
+/// Delta screen: the metric distance of `(num + dwt · row) / total` — the
+/// blended metric vector after a one-weight change, whose distance is
+/// invariant under the global rescale the exact path performs.  It has no
+/// bit-identity contract (it only *rejects* candidates), so a reciprocal
+/// multiply replaces the per-lane divide and the post-rescale runtime
+/// penalty (λ·rerr² ≈ 1e-31) is dropped.
 double GaEvalEngine::fitness_delta_scale1(const GaBlendState& state,
                                           std::size_t j,
                                           double factor) const {
@@ -661,35 +167,16 @@ double GaEvalEngine::fitness_delta_scale1(const GaBlendState& state,
   if (total <= 0.0) return 1e18;
   const double* row =
       pairs_.data() + state.slots_[j] * 2 * machine::kMetricCount;
-  const DeltaCtx c{state.num_.data(), app_pair_.data(),
-                   inv_scale_pair_.data(), mw_pair_.data()};
-  const double* rows[1] = {row};
-  const double dwts[1] = {dwt};
-  return g_delta.load(std::memory_order_relaxed)(c, 1.0 / total, rows, dwts,
-                                                 1);
-}
-
-double GaEvalEngine::fitness_delta_changes(const GaBlendState& state,
-                                           const GaWeightChange* changes,
-                                           std::size_t count) const {
-  SWAPP_ASSERT(state.bound_, "delta screen on an unbound state");
-  SWAPP_ASSERT(count <= kMaxDeltaChanges, "too many delta changes");
-  const double* rows[kMaxDeltaChanges];
-  double dwts[kMaxDeltaChanges];
-  double total = state.total_;
-  for (std::size_t t = 0; t < count; ++t) {
-    const std::size_t k = changes[t].slot;
-    SWAPP_ASSERT(k < n_, "delta change slot outside the suite");
-    const double dwt = changes[t].delta_weight * base_time_[k];
-    rows[t] = pairs_.data() + k * 2 * machine::kMetricCount;
-    dwts[t] = dwt;
-    total += dwt;
+  const Pair vinv = splat(1.0 / total);
+  const Pair vdwt = splat(dwt);
+  Pair acc = {};
+  for (std::size_t l = 0; l < 2 * machine::kMetricCount; l += 2) {
+    const Pair p = load_pair(&state.num_[l]) + vdwt * load_pair(row + l);
+    const Pair d = (p * vinv - load_pair(&app_pair_[l])) *
+                   load_pair(&inv_scale_pair_[l]);
+    acc += load_pair(&mw_pair_[l]) * (d * d);
   }
-  if (total <= 0.0) return 1e18;
-  const DeltaCtx c{state.num_.data(), app_pair_.data(),
-                   inv_scale_pair_.data(), mw_pair_.data()};
-  return g_delta.load(std::memory_order_relaxed)(c, 1.0 / total, rows, dwts,
-                                                 count);
+  return acc[0] + acc[1];
 }
 
 void GaEvalEngine::apply_scale1(GaBlendState& state, std::size_t j,

@@ -1,26 +1,22 @@
 // GA evaluation engine: the surrogate search's innermost kernel over a
-// transposed, metric-major (SoA) copy of the benchmark signatures.
+// pair-interleaved copy of the benchmark signatures.
 //
 // The GA objective (ga.h) blends benchmark metric vectors by runtime share
 // and measures the rank-weighted distance to the application's signature in
-// ST and SMT modes.  `Problem::fitness_fused` sweeps the array-of-structs
-// `MetricVector` storage once per evaluation; this engine holds the same
-// data transposed — for each metric i a contiguous array over the suite —
-// plus the application-side vectors and scales as plain arrays, so the
-// per-metric blend and the distance pass run over flat memory with no
-// per-term gather through `MetricVector` objects.
+// ST and SMT modes.  This engine holds the suite's signatures as one flat
+// array in which each metric's ST and SMT values sit side by side, plus the
+// application-side vectors and scales in the same order, so the per-metric
+// blend and the distance pass run over flat memory with no per-term gather
+// through `MetricVector` objects.
 //
-// Two entry points sit on top of the layout:
-//   * `fitness_sparse` evaluates one genome given its nonzero-term index
-//     list (the `nz` scratch the breeding loop already maintains), touching
-//     O(|nz|) terms instead of scanning every suite weight.
-//   * `evaluate_population` scores a whole generation in one call over
-//     reused caller-owned scratch, amortising setup across the population.
+// `fitness_sparse` evaluates one genome given its nonzero-term index list
+// (the `nz` scratch the breeding loop already maintains), touching O(|nz|)
+// terms instead of scanning every suite weight.
 //
 // Bit-identity contract: for every genome with non-negative weights whose
-// `nz` list contains at least all strictly-positive positions, both entry
-// points produce results bit-identical to the reference `fitness()` path
-// (and to `fitness_fused`).  The argument, relied on throughout:
+// `nz` list contains at least all strictly-positive positions,
+// `fitness_sparse` is bit-identical to the reference three-pass objective
+// (`GaKernel::kReference` in ga.h).  The argument, relied on throughout:
 //   * every accumulator (runtime-share total, the 16+16 per-metric blends,
 //     the distance sum) receives its additions in the same ascending-k /
 //     ascending-i order as the reference;
@@ -29,28 +25,31 @@
 //     accumulator;
 //   * every arithmetic expression (share, deviation, penalty) is written
 //     with the same shape as the reference, so the compiler emits the same
-//     roundings.
-// `ga_fitness_probe` (ga.h) and tests/test_ga_eval.cpp verify the contract.
+//     roundings;
+//   * the kernel processes each (ST, SMT) lane pair as a two-lane vector,
+//     and each lane performs exactly the reference's scalar operation
+//     sequence on exactly its scalar operands, so IEEE arithmetic makes the
+//     lanes bit-identical to the scalar code.
+// `GaFitnessProber` (ga.h) and tests/test_ga_eval.cpp verify the contract.
 //
 // Delta evaluation (the screening fast path): the objective blend is linear
 // in the weights, so a genome whose blended metric vector is cached in a
-// `GaBlendState` can be re-screened after a few-weight change in O(M) —
+// `GaBlendState` can be re-screened after a one-weight change in O(M) —
 // one accumulator update per metric lane — instead of the O(|nz|·M) full
 // re-blend.  Screens are *approximate* by design (reciprocal-multiply
 // replaces the per-lane divide, the post-rescale runtime penalty ~1e-31 is
 // dropped, and the cached blend drifts by one rounding per committed
 // update); consumers must confirm any apparently-improving candidate with
 // one exact `fitness_sparse` before acting on it.  ga.cpp's polish loop is
-// the canonical consumer: screen 4×|nz| candidates per sweep, confirm the
-// survivors exactly, accept only on the exact value — which keeps the
-// search's results bit-identical to full evaluation while skipping the
-// exact evals for the (vast majority of) rejected candidates.
+// the consumer: screen 4×|nz| candidates per sweep, confirm the survivors
+// exactly, accept only on the exact value — which keeps the search's
+// results bit-identical to full evaluation while skipping the exact evals
+// for the (vast majority of) rejected candidates.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "machine/counters.h"
@@ -64,29 +63,6 @@ struct GaEvalScratch {
   /// Per-nonzero-term runtime shares (capacity grows to the suite size).
   std::vector<double> share;
 };
-
-/// One genome prepared for batched evaluation: the weight array and its
-/// nonzero-position list (ascending, containing every strictly-positive
-/// position; extra zero-weight positions are harmless — see bit-identity
-/// contract above).
-struct GenomeRef {
-  const double* genome = nullptr;
-  const std::size_t* nz = nullptr;
-  std::size_t nz_count = 0;
-};
-
-/// One weight edit for delta screening: `slot` indexes the suite and
-/// `delta_weight` is the change in the raw weight (new − old).  Slots
-/// outside the bound genome's nz list are allowed (an add-mutation).
-struct GaWeightChange {
-  std::size_t slot = 0;
-  double delta_weight = 0.0;
-};
-
-/// Screens accept at most this many simultaneous weight changes (the
-/// mutation path produces ≤3; one slot of headroom keeps the kernels'
-/// change loop trivially bounded).
-inline constexpr std::size_t kMaxDeltaChanges = 4;
 
 /// Cached blend of one genome: the runtime-weighted total Σ wⱼtⱼ and the
 /// 2·kMetricCount pair-interleaved blend numerators Σ wⱼtⱼ·mⱼₗ, plus the
@@ -108,7 +84,7 @@ class GaBlendState {
  private:
   friend class GaEvalEngine;
   /// Pair-interleaved blend numerators (same lane order as the engine's
-  /// `pairs_` tiling): num_[2i] = Σ wⱼtⱼ·st_i, num_[2i+1] = Σ wⱼtⱼ·smt_i.
+  /// `pairs_`): num_[2i] = Σ wⱼtⱼ·st_i, num_[2i+1] = Σ wⱼtⱼ·smt_i.
   std::array<double, 2 * machine::kMetricCount> num_{};
   double total_ = 0.0;               ///< Σ wⱼtⱼ over the bound nz list
   std::vector<double> wt_;           ///< per-nz-term wⱼtⱼ products
@@ -121,8 +97,8 @@ class GaEvalEngine {
  public:
   GaEvalEngine() = default;
 
-  /// Builds the metric-major arrays from suite-ordered AoS signatures plus
-  /// the application-side vectors, scales, and penalty parameters.
+  /// Builds the pair-interleaved arrays from suite-ordered AoS signatures
+  /// plus the application-side vectors, scales, and penalty parameters.
   void build(const std::vector<machine::MetricVector>& bench_st,
              const std::vector<machine::MetricVector>& bench_smt,
              const std::vector<double>& base_time,
@@ -142,11 +118,6 @@ class GaEvalEngine {
                         double* distance_out = nullptr,
                         double* runtime_error_out = nullptr) const;
 
-  /// Batched entry point: writes `fitness_out[b]` for each genome in
-  /// `batch[0 .. count)`.  Bit-identical to `count` `fitness_sparse` calls.
-  void evaluate_population(const GenomeRef* batch, std::size_t count,
-                           GaEvalScratch& scratch, double* fitness_out) const;
-
   // --- Delta evaluation (screening) -------------------------------------
 
   /// Caches `genome`'s blend in `state` (exact O(|nz|·M) build; the nz list
@@ -155,48 +126,27 @@ class GaEvalEngine {
                   const std::size_t* nz, std::size_t nz_count) const;
 
   /// Screened objective after scaling the bound genome's j-th nz term by
-  /// `factor` and renormalising globally (the polish move).  O(M): one
-  /// fused pass over the cached numerators through the runtime-dispatched
-  /// delta kernel.  Approximates the exact post-rescale fitness to ~1e-12
-  /// absolute — callers must confirm with `fitness_sparse` before
-  /// accepting.
+  /// `factor` and renormalising globally (the polish move).  O(M): one pass
+  /// over the cached numerators.  Approximates the exact post-rescale
+  /// fitness to ~1e-12 absolute — callers must confirm with
+  /// `fitness_sparse` before accepting.
   double fitness_delta_scale1(const GaBlendState& state, std::size_t j,
                               double factor) const;
-
-  /// Screened objective after applying up to `kMaxDeltaChanges` raw weight
-  /// edits to the bound genome and renormalising globally (the mutation
-  /// path's perturb-only children).  Same accuracy contract as
-  /// `fitness_delta_scale1`.
-  double fitness_delta_changes(const GaBlendState& state,
-                               const GaWeightChange* changes,
-                               std::size_t count) const;
 
   /// Commits the scale-1 change into the cached blend (O(M) accumulator
   /// update, one more rounding of drift; bumps the update counter driving
   /// `needs_refresh()`).
   void apply_scale1(GaBlendState& state, std::size_t j, double factor) const;
 
-  /// Metric-major signature array (`metric_major_st()[i * size() + k]` =
-  /// metric i of benchmark k), exposed for tests and diagnostics.
-  const std::vector<double>& metric_major_st() const noexcept { return st_; }
-  const std::vector<double>& metric_major_smt() const noexcept { return smt_; }
-
  private:
   std::size_t n_ = 0;
-  /// Metric-major signatures: `st_[i * n_ + k]` = metric i of benchmark k.
-  /// This is the canonical transposed store (and the portable kernel's
-  /// layout); `pairs_` below is a SIMD tiling derived from it.
-  std::vector<double> st_;
-  std::vector<double> smt_;
-  /// ST/SMT pair-interleaved tiling for the SIMD kernels:
+  /// ST/SMT pair-interleaved signatures:
   /// `pairs_[k * 2 * kMetricCount + 2 * i]` = metric i of benchmark k in ST
-  /// mode, `... + 2 * i + 1` = the same metric in SMT mode.  One vector load
-  /// then covers the (st, smt) lane pair that the objective's distance pass
-  /// divides by the same `scale_[i]`.
+  /// mode, `... + 2 * i + 1` = the same metric in SMT mode.  One two-lane
+  /// vector then covers the (st, smt) pair that the objective's distance
+  /// pass divides by the same `scale[i]`.
   std::vector<double> pairs_;
   std::vector<double> base_time_;
-  std::array<double, machine::kMetricCount> app_st_{};
-  std::array<double, machine::kMetricCount> app_smt_{};
   /// App-side and scale vectors in the same pair-interleaved order.
   std::array<double, 2 * machine::kMetricCount> app_pair_{};
   std::array<double, 2 * machine::kMetricCount> scale_pair_{};
@@ -204,22 +154,9 @@ class GaEvalEngine {
   /// weights, so the screen is pure mul/add over 2·kMetricCount lanes.
   std::array<double, 2 * machine::kMetricCount> inv_scale_pair_{};
   std::array<double, 2 * machine::kMetricCount> mw_pair_{};
-  std::array<double, machine::kMetricCount> scale_{};
   std::array<double, machine::kMetricCount> metric_weight_{};
   double app_compute_ = 0.0;
   double lambda_ = 0.0;
 };
-
-/// Pins the delta-screen kernel tier at runtime ("generic" | "sse2" |
-/// "avx2" | "avx512"; "" restores auto-selection, which also honours the
-/// `SWAPP_GA_EVAL` env pin).  Returns false — leaving the tier unchanged —
-/// if the CPU lacks the requested ISA.  Unlike the exact-eval dispatch
-/// (resolved once before main), this is an atomic so tests and benchmarks
-/// can sweep every supported tier in one process.
-bool set_ga_delta_tier(const std::string& tier);
-
-/// Delta tiers this CPU can run, in escalation order (always starts with
-/// "generic").
-std::vector<std::string> ga_delta_supported_tiers();
 
 }  // namespace swapp::core

@@ -21,8 +21,8 @@ std::string compute_options_key(const ComputeProjectionOptions& o) {
   ss.precision(17);
   ss << o.ga.population << '|' << o.ga.generations << '|' << o.ga.restarts
      << '|' << o.ga.max_terms << '|' << o.ga.runtime_penalty << '|'
-     << o.ga.seed << '|' << o.ga.stagnation_limit << '|' << o.use_acsm << '|'
-     << o.use_rank_adjustment << '|' << o.surrogate_reference_cores;
+     << o.ga.seed << '|' << o.use_acsm << '|' << o.use_rank_adjustment << '|'
+     << o.surrogate_reference_cores;
   return ss.str();
 }
 

@@ -83,18 +83,6 @@ MetricGroup MetricVector::group_of(std::size_t index) {
   return MetricGroup::kMemoryBandwidth;  // 14 and 15
 }
 
-std::vector<double> transpose_metric_major(
-    const std::vector<MetricVector>& vectors) {
-  const std::size_t n = vectors.size();
-  std::vector<double> out(kMetricCount * n);
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = 0; i < kMetricCount; ++i) {
-      out[i * n + k] = vectors[k].values[i];
-    }
-  }
-  return out;
-}
-
 std::string MetricVector::name_of(std::size_t index) {
   static const std::array<const char*, kMetricCount> kNames = {
       "cpi_completion",    "cpi_stall_fp",     "cpi_stall_mem",

@@ -16,7 +16,6 @@
 
 #include <array>
 #include <string>
-#include <vector>
 
 #include "support/units.h"
 
@@ -90,13 +89,5 @@ struct MetricVector {
   /// Human-readable metric name (for reports and tests).
   static std::string name_of(std::size_t index);
 };
-
-/// Transposes suite-ordered metric vectors into a metric-major (SoA) array:
-/// `out[i * vectors.size() + k] == vectors[k].values[i]`.  This is the layout
-/// the GA evaluation engine sweeps — for each metric, the suite's values are
-/// contiguous, so per-metric blends walk unit-stride memory instead of
-/// hopping between `MetricVector` objects.
-std::vector<double> transpose_metric_major(
-    const std::vector<MetricVector>& vectors);
 
 }  // namespace swapp::machine

@@ -79,15 +79,9 @@ BatchPlan plan_batch(const std::vector<ServiceRequest>& requests,
 
     ++plan.naive_searches;
     if (reference > 0) {
-      const core::ComputeProjectionOptions& c = r.options.compute;
       std::ostringstream key;
-      key.precision(17);
-      key << r.app << '|' << r.target << '|' << reference << '|' << r.threads
-          << '|' << c.ga.population << '|' << c.ga.generations << '|'
-          << c.ga.restarts << '|' << c.ga.max_terms << '|'
-          << c.ga.runtime_penalty << '|' << c.ga.seed << '|'
-          << c.ga.stagnation_limit << '|' << c.use_acsm << '|'
-          << c.use_rank_adjustment;
+      key << r.app << '|' << r.target << '|' << r.threads << '|'
+          << core::compute_options_key(r.options.compute);
       if (note_artifact("surrogate-search", key.str())) ++plan.searches;
     } else {
       ++plan.searches;

@@ -326,25 +326,5 @@ TEST(GaDeterminism, BitIdenticalAcrossThreadCounts) {
   expect_identical(serial, pooled16);
 }
 
-TEST(GaDeterminism, StagnationExitIsDeterministicAndOptIn) {
-  ThreadCountGuard guard;
-  const core::SpecData spec = synthetic_spec();
-  const machine::PmuCounters app = spec.base_counters_st.at("mid");
-  const machine::PmuCounters app_smt = spec.base_counters_smt.at("mid");
-  core::GroupWeights weights;
-  weights.weight.fill(1.0 / machine::kMetricGroupCount);
-  core::GaOptions options;
-  options.seed = 99;
-  options.stagnation_limit = 10;
-
-  set_thread_count(1);
-  const core::Surrogate a =
-      core::find_surrogate(app, app_smt, weights, spec, 100.0, options);
-  set_thread_count(4);
-  const core::Surrogate b =
-      core::find_surrogate(app, app_smt, weights, spec, 100.0, options);
-  expect_identical(a, b);
-}
-
 }  // namespace
 }  // namespace swapp

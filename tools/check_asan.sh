@@ -2,9 +2,9 @@
 # Builds the test suite under AddressSanitizer and runs it with a 4-thread
 # SWAPP pool, so the batched projection paths (shared SpecIndex arenas,
 # cache-owned artifacts, parallel merges) are exercised for lifetime and
-# bounds errors.  The full ctest run includes the SoA GA engine tests
-# (test_ga_eval), whose SIMD kernels read pair-interleaved rows and sparse
-# nz lists — exactly the indexing ASan should be watching — and the
+# bounds errors.  The full ctest run includes the GA engine tests
+# (test_ga_eval), whose kernels read pair-interleaved rows and sparse nz
+# lists — exactly the indexing ASan should be watching — and the
 # projection server suite (test_server), where frame buffers, connection
 # registries, and promise/future handoffs live across thread boundaries.
 # Fiber switches are announced to ASan (src/sim/fiber.cpp), so simulated

@@ -14,11 +14,12 @@ file (last positional, or each --fresh) is raw
 `--benchmark_repetitions=N --benchmark_report_aggregates_only=true`.  With
 several --fresh runs the per-benchmark MINIMUM median is compared: host
 scheduling jitter only ever adds time, so best-of-N strips load spikes
-without masking real regressions.  The check fails (exit 1) if any benchmark
-present in both files regressed by more than the threshold (default 15%,
-sized above the shared CI container's load-dependent run-to-run noise).
-Improvements and benchmarks missing from either side never fail the check —
-the baseline is a floor on known entries, not a coverage requirement.
+without masking real regressions.  The check fails (exit 1) if any baseline
+benchmark regressed by more than the threshold (default 15%, sized above the
+shared CI container's load-dependent run-to-run noise) or is missing from the
+fresh runs: deleting or renaming a benchmark must also remove its baseline
+row, so a gated row never disappears silently.  Fresh benchmarks without a
+baseline row are ignored.
 
 Wired as the optional ctest entry `perf_check_bench` (label `perf`) behind
 -DSWAPP_PERF_TESTS=ON; that entry runs bench_micro itself and pipes the
@@ -36,19 +37,14 @@ import sys
 SECTION_ROWS = {
     "ga_fitness_kernel_us_per_256_evals": {
         "reference": "BM_GaFitnessKernel/0",
-        "fused": "BM_GaFitnessKernel/1",
         "soa_sparse": "BM_GaFitnessKernel/2",
-        "soa_batch": "BM_GaFitnessKernel/3",
     },
     "ga_polish_us_per_768_candidates": {
         "delta_screened": "BM_GaPolish/0",
         "full_eval": "BM_GaPolish/1",
     },
     "ga_delta_kernel_us_per_256_screens": {
-        "generic": "BM_GaDeltaKernel/0",
-        "sse2": "BM_GaDeltaKernel/1",
-        "avx2": "BM_GaDeltaKernel/2",
-        "avx512": "BM_GaDeltaKernel/3",
+        "screen": "BM_GaDeltaKernel",
     },
     "sweep_fanout_us_per_5_points": {
         "naive_per_point": "BM_SweepFanout/0",
@@ -130,7 +126,8 @@ def main():
     for name, base_us in sorted(baseline.items()):
         now_us = fresh.get(name)
         if now_us is None:
-            print(f"  SKIP {name}: not in fresh run")
+            print(f"  FAIL {name}: baseline row has no fresh counterpart")
+            failures.append(name)
             continue
         delta = (now_us - base_us) / base_us * 100.0
         verdict = "FAIL" if delta > args.threshold else "ok"
@@ -141,7 +138,8 @@ def main():
 
     if failures:
         print(f"check_bench: {len(failures)} benchmark(s) regressed more than "
-              f"{args.threshold:.0f}%: {', '.join(failures)}", file=sys.stderr)
+              f"{args.threshold:.0f}% or are missing: {', '.join(failures)}",
+              file=sys.stderr)
         return 1
     print("check_bench: within threshold")
     return 0
