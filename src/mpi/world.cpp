@@ -115,13 +115,13 @@ void RankCtx::waitall(std::span<const Request> requests) {
   double distance_weighted = 0.0;
   int recvs = 0;
   for (const Request& r : requests) {
-    const auto it = s.requests.find(r.id);
-    SWAPP_REQUIRE(it != s.requests.end(), "waitall on unknown request");
+    const World::RequestState* state = s.requests.find(r.id);
+    SWAPP_REQUIRE(state != nullptr, "waitall on unknown request");
     ids.push_back(r.id);
-    total_bytes += it->second.bytes;
-    distance_weighted += static_cast<double>(it->second.bytes) *
-                         std::abs(it->second.peer - rank_);
-    if (it->second.is_recv) ++recvs;
+    total_bytes += state->bytes;
+    distance_weighted +=
+        static_cast<double>(state->bytes) * std::abs(state->peer - rank_);
+    if (state->is_recv) ++recvs;
   }
   world_->await_requests(rank_, ids);
   // Per-request completion bookkeeping (request finalisation, status copy).
@@ -249,26 +249,56 @@ Seconds World::dispatch(int src, int dst, Bytes bytes, Seconds ready) {
   return depart + serialisation + path_latency(src, dst);
 }
 
+std::uint64_t World::RequestSlab::add(std::uint64_t serial,
+                                      RequestState state) {
+  SWAPP_ASSERT(serial < (std::uint64_t{1} << 32), "request serials exhausted");
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  state.id = (serial << 32) | slot;
+  slots_[slot] = state;
+  return state.id;
+}
+
+World::RequestState* World::RequestSlab::find(std::uint64_t id) noexcept {
+  const std::uint64_t slot = id & 0xffffffffu;
+  // A free slot holds id 0, so a default Request must not get that far.
+  if (id == 0 || slot >= slots_.size() || slots_[slot].id != id) {
+    return nullptr;
+  }
+  return &slots_[slot];
+}
+
+void World::RequestSlab::erase(std::uint64_t id) noexcept {
+  RequestState* r = find(id);
+  if (r == nullptr) return;
+  r->id = 0;
+  free_.push_back(static_cast<std::uint32_t>(id & 0xffffffffu));
+}
+
 std::uint64_t World::new_request(int owner, Bytes bytes, int peer,
                                  bool is_recv) {
-  const std::uint64_t id = next_request_id_++;
-  states_[static_cast<std::size_t>(owner)].requests.emplace(
-      id, RequestState{.determined = false,
-                       .complete_time = 0.0,
-                       .bytes = bytes,
-                       .peer = peer,
-                       .is_recv = is_recv});
-  return id;
+  return states_[static_cast<std::size_t>(owner)].requests.add(
+      next_request_serial_++, RequestState{.determined = false,
+                                           .complete_time = 0.0,
+                                           .bytes = bytes,
+                                           .peer = peer,
+                                           .is_recv = is_recv});
 }
 
 void World::determine(int owner, std::uint64_t request_id,
                       Seconds complete_time) {
-  auto& requests = states_[static_cast<std::size_t>(owner)].requests;
-  const auto it = requests.find(request_id);
-  SWAPP_ASSERT(it != requests.end(), "determine() on unknown request");
-  SWAPP_ASSERT(!it->second.determined, "request determined twice");
-  it->second.determined = true;
-  it->second.complete_time = complete_time;
+  RequestState* r =
+      states_[static_cast<std::size_t>(owner)].requests.find(request_id);
+  SWAPP_ASSERT(r != nullptr, "determine() on unknown request");
+  SWAPP_ASSERT(!r->determined, "request determined twice");
+  r->determined = true;
+  r->complete_time = complete_time;
 }
 
 void World::maybe_wake(int owner) {
@@ -276,10 +306,10 @@ void World::maybe_wake(int owner) {
   if (s.wait_kind != WaitKind::kBlocked) return;
   Seconds latest = engine_.now();
   for (const std::uint64_t id : s.waiting_on) {
-    const auto it = s.requests.find(id);
-    SWAPP_ASSERT(it != s.requests.end(), "waiting on unknown request");
-    if (!it->second.determined) return;  // still incomplete
-    latest = std::max(latest, it->second.complete_time);
+    const RequestState* r = s.requests.find(id);
+    SWAPP_ASSERT(r != nullptr, "waiting on unknown request");
+    if (!r->determined) return;  // still incomplete
+    latest = std::max(latest, r->complete_time);
   }
   s.wait_kind = WaitKind::kNone;
   s.waiting_on.clear();
@@ -292,13 +322,13 @@ Seconds World::await_requests(int rank, std::span<const std::uint64_t> ids) {
     bool all_determined = true;
     Seconds latest = engine_.now();
     for (const std::uint64_t id : ids) {
-      const auto it = s.requests.find(id);
-      SWAPP_ASSERT(it != s.requests.end(), "await on unknown request");
-      if (!it->second.determined) {
+      const RequestState* r = s.requests.find(id);
+      SWAPP_ASSERT(r != nullptr, "await on unknown request");
+      if (!r->determined) {
         all_determined = false;
         break;
       }
-      latest = std::max(latest, it->second.complete_time);
+      latest = std::max(latest, r->complete_time);
     }
     if (all_determined) {
       if (latest > engine_.now()) s.proc->advance(latest - engine_.now());

@@ -26,7 +26,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "machine/counters.h"
@@ -126,6 +125,7 @@ class World {
 
   // --- matching state --------------------------------------------------------
   struct RequestState {
+    std::uint64_t id = 0;     ///< 0 while the slot is free
     bool determined = false;  ///< completion time is known
     Seconds complete_time = 0.0;
     Bytes bytes = 0;
@@ -152,13 +152,30 @@ class World {
     Seconds sender_ready;
     std::uint64_t send_request_id;  ///< 0 for a blocking send
   };
+  /// One rank's live requests: a slot vector plus a free list.  A request
+  /// id packs a World-wide serial (high 32 bits) with the slot index (low 32
+  /// bits), and find() compares the whole id, so an id that was never
+  /// issued, was already completed, or belongs to another rank finds
+  /// nothing even when its slot index is in use.
+  class RequestSlab {
+   public:
+    std::uint64_t add(std::uint64_t serial, RequestState state);
+    /// The live request with this id, or nullptr.
+    RequestState* find(std::uint64_t id) noexcept;
+    /// Frees the request's slot; a no-op for an id that is not live.
+    void erase(std::uint64_t id) noexcept;
+
+   private:
+    std::vector<RequestState> slots_;
+    std::vector<std::uint32_t> free_;
+  };
   enum class WaitKind { kNone, kBlocked };
   struct RankState {
     sim::Process* proc = nullptr;
     std::deque<PendingMessage> unexpected;
     std::deque<PostedRecv> posted;
     std::deque<PendingRendezvous> rendezvous;
-    std::unordered_map<std::uint64_t, RequestState> requests;
+    RequestSlab requests;
     WaitKind wait_kind = WaitKind::kNone;
     std::vector<std::uint64_t> waiting_on;
     // profiling
@@ -219,7 +236,7 @@ class World {
   std::vector<Seconds> node_nic_free_;
   std::vector<std::unique_ptr<RankCtx>> contexts_;
   std::vector<CollectiveSlot> collectives_;
-  std::uint64_t next_request_id_ = 1;
+  std::uint64_t next_request_serial_ = 1;
   bool ran_ = false;
 
   MpiProfile profile_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "support/error.h"
 
 namespace swapp::sim {
@@ -18,13 +19,11 @@ void Process::advance(Seconds dt) {
   SWAPP_REQUIRE(dt >= 0.0, "cannot advance time backwards");
   SWAPP_ASSERT(Fiber::in_fiber(), "advance() called outside process context");
   if (dt == 0.0) return;
+  const Seconds when = engine_.now() + dt;
+  if (engine_.wake_inline(when)) return;
   blocked_ = true;
   resume_scheduled_ = true;
-  engine_.schedule_in(dt, [this] {
-    blocked_ = false;
-    resume_scheduled_ = false;
-    fiber_->resume();
-  });
+  engine_.schedule_wake(when, *this);
   Fiber::yield();
 }
 
@@ -40,44 +39,58 @@ void Process::unblock_at(Seconds when) {
   SWAPP_ASSERT(blocked_, "unblock_at() on a process that is not blocked");
   SWAPP_ASSERT(!resume_scheduled_, "process already scheduled to resume");
   resume_scheduled_ = true;
-  const Seconds t = std::max(when, engine_.now());
-  engine_.schedule_at(t, [this] {
-    blocked_ = false;
-    resume_scheduled_ = false;
-    fiber_->resume();
-  });
+  engine_.schedule_wake(std::max(when, engine_.now()), *this);
 }
 
-void Engine::schedule_at(Seconds when, std::function<void()> fn) {
-  SWAPP_REQUIRE(when >= now_, "cannot schedule an event in the past");
-  queue_.push(Event{when, next_seq_++, std::move(fn)});
+void Process::wake() {
+  blocked_ = false;
+  resume_scheduled_ = false;
+  fiber_->resume();
 }
 
-void Engine::schedule_in(Seconds dt, std::function<void()> fn) {
-  schedule_at(now_ + dt, std::move(fn));
+void Engine::schedule_wake(Seconds when, Process& p) {
+  SWAPP_ASSERT(when >= now_, "wake-up scheduled in the past");
+  queue_.push(Event{when, next_seq_++, &p});
+}
+
+bool Engine::wake_inline(Seconds when) {
+  // Queued as an event, this wake-up would carry the largest sequence
+  // number, so it is popped next exactly when every queued event is due
+  // strictly later: an event due at `when` was queued first and wins the
+  // FIFO tie-break.  Popping it would set the clock, count one dispatch and
+  // resume this same process, which is what returning without a yield does.
+  if (!queue_.empty() && queue_.top().time <= when) return false;
+  now_ = when;
+  ++dispatched_;
+  ++inline_wakes_;
+  return true;
 }
 
 Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
                        Seconds start, std::size_t stack_bytes) {
+  SWAPP_REQUIRE(start >= now_, "cannot start a process in the past");
   auto proc = std::unique_ptr<Process>(new Process(
       *this, static_cast<std::uint32_t>(processes_.size()), std::move(name),
       std::move(body), stack_bytes));
   Process& ref = *proc;
   processes_.push_back(std::move(proc));
-  schedule_at(start, [&ref] { ref.fiber_->resume(); });
+  schedule_wake(start, ref);
   return ref;
 }
 
 void Engine::run() {
+  const std::uint64_t dispatched_before = dispatched_;
+  const std::uint64_t inline_before = inline_wakes_;
   while (!queue_.empty()) {
-    // Copy out before pop: fn may schedule further events.
-    Event ev = queue_.top();
+    const Event ev = queue_.top();
     queue_.pop();
     SWAPP_ASSERT(ev.time >= now_, "event queue delivered a past event");
     now_ = ev.time;
     ++dispatched_;
-    ev.fn();
+    ev.proc->wake();
   }
+  SWAPP_COUNT("sim.events", dispatched_ - dispatched_before);
+  SWAPP_COUNT("sim.inline_wakes", inline_wakes_ - inline_before);
   if (live_process_count() > 0) {
     std::string stuck;
     for (const auto& p : processes_) {

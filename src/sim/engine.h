@@ -4,7 +4,9 @@
 // FIFO tie-breaking (events at equal timestamps fire in insertion order), so
 // every simulation is exactly reproducible.  Simulated processes (MPI ranks,
 // benchmark drivers) run on fibers and interact with the clock through
-// Process::advance / block / unblock_at.
+// Process::advance / block / unblock_at.  Every event resumes one process:
+// an event is a plain {time, seq, process} record, so queueing one never
+// touches the heap beyond the queue's own storage.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include <memory>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/fiber.h"
@@ -33,7 +36,9 @@ class Process {
   bool finished() const noexcept { return fiber_->finished(); }
 
   /// Advances this process's local view of time by `dt`: the process sleeps
-  /// and resumes once the clock reaches now() + dt.
+  /// and resumes once the clock reaches now() + dt.  When no queued event is
+  /// due at or before that time, the wake-up would be the next event
+  /// dispatched anyway, so the clock moves without a fiber switch.
   void advance(Seconds dt);
 
   /// Suspends until another party calls unblock_at().  Returns the
@@ -54,6 +59,8 @@ class Process {
   friend class Engine;
   Process(Engine& engine, std::uint32_t id, std::string name,
           std::function<void(Process&)> body, std::size_t stack_bytes);
+  /// Resumes the fiber for a dispatched wake-up event.
+  void wake();
 
   Engine& engine_;
   std::uint32_t id_;
@@ -73,35 +80,39 @@ class Engine {
   /// Current simulation time in seconds.
   Seconds now() const noexcept { return now_; }
 
-  /// Schedules `fn` to run at absolute time `when` (>= now).
-  void schedule_at(Seconds when, std::function<void()> fn);
-
-  /// Schedules `fn` to run `dt` seconds from now.
-  void schedule_in(Seconds dt, std::function<void()> fn);
-
-  /// Creates a process whose body starts executing at time `start`.
-  /// The returned pointer stays valid for the engine's lifetime.
+  /// Creates a process whose body starts executing at time `start`
+  /// (>= now(); an earlier start throws InvalidArgument).  The returned
+  /// reference stays valid for the engine's lifetime.
   Process& spawn(std::string name, std::function<void(Process&)> body,
                  Seconds start = 0.0,
                  std::size_t stack_bytes = Fiber::kDefaultStackBytes);
 
-  /// Runs until the event queue drains.  Throws InternalError if processes
-  /// remain blocked with no pending events (deadlock), or propagates the
-  /// first exception thrown by a process body.
+  /// Runs until the event queue drains, then records the run's dispatched
+  /// events and inline wakes as the `sim.events` and `sim.inline_wakes`
+  /// metrics.  Throws InternalError if processes remain blocked with no
+  /// pending events (deadlock), or propagates the first exception thrown by
+  /// a process body.
   void run();
 
   /// Number of processes that have not finished their body.
   std::size_t live_process_count() const noexcept;
 
-  /// Total events dispatched so far (for micro-benchmarks and tests).
+  /// Total events dispatched so far, inline wakes included (for
+  /// micro-benchmarks and tests).
   std::uint64_t events_dispatched() const noexcept { return dispatched_; }
 
+  /// Wake-ups that Process::advance completed without a fiber switch.
+  std::uint64_t inline_wakes() const noexcept { return inline_wakes_; }
+
  private:
+  friend class Process;
+
   struct Event {
     Seconds time;
     std::uint64_t seq;
-    std::function<void()> fn;
+    Process* proc;
   };
+  static_assert(std::is_trivially_copyable_v<Event>);
   struct EventOrder {
     bool operator()(const Event& a, const Event& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
@@ -109,11 +120,16 @@ class Engine {
     }
   };
 
-  void resume_process(Process& p);
+  /// Queues a wake-up of `p` at `when` (>= now).
+  void schedule_wake(Seconds when, Process& p);
+  /// Moves the clock to `when` and counts the wake-up as dispatched if it
+  /// would be the next event popped; false if it must be queued instead.
+  bool wake_inline(Seconds when);
 
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
+  std::uint64_t inline_wakes_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
   std::vector<std::unique_ptr<Process>> processes_;
 };

@@ -7,6 +7,7 @@
 #include "machine/machine.h"
 #include "mpi/collectives.h"
 #include "mpi/world.h"
+#include "support/error.h"
 
 namespace swapp::mpi {
 namespace {
@@ -295,6 +296,62 @@ TEST(MpiWorld, EmptyWaitallIsHarmless) {
     ctx.barrier();
   });
   EXPECT_GT(world.wall_time(), 0.0);
+}
+
+// Request misuse: waitall accepts only this rank's live requests.  Each
+// test keeps one of rank 0's own requests live, so a bad id meets a slot
+// that is in use as well as one that is not.
+TEST(MpiWorld, WaitallOnANeverIssuedRequestThrows) {
+  for (const bool default_id : {true, false}) {
+    World world(test_machine(), 2);
+    EXPECT_THROW(world.run([default_id](RankCtx& ctx) {
+                   if (ctx.rank() == 1) {
+                     ctx.recv(0, 64);
+                     return;
+                   }
+                   const Request live = ctx.isend(1, 64);
+                   const Request forged[] = {
+                       default_id ? Request{} : Request{live.id + 1000}};
+                   ctx.waitall(forged);
+                 }),
+                 InvalidArgument);
+  }
+}
+
+TEST(MpiWorld, WaitallOnACompletedRequestThrows) {
+  World world(test_machine(), 2);
+  EXPECT_THROW(world.run([](RankCtx& ctx) {
+                 if (ctx.rank() == 1) {
+                   ctx.recv(0, 64);
+                   ctx.recv(0, 64);
+                   return;
+                 }
+                 const Request first[] = {ctx.isend(1, 64)};
+                 ctx.waitall(first);
+                 // The new request may take the completed one's place.
+                 const Request again[] = {ctx.isend(1, 64), first[0]};
+                 ctx.waitall(again);
+               }),
+               InvalidArgument);
+}
+
+TEST(MpiWorld, WaitallOnAnotherRanksRequestThrows) {
+  World world(test_machine(), 2);
+  Request theirs;
+  EXPECT_THROW(world.run([&theirs](RankCtx& ctx) {
+                 if (ctx.rank() == 1) {
+                   theirs = ctx.irecv(0, 64);  // live until rank 1 waits
+                   ctx.compute_for(1.0);
+                   const Request mine[] = {theirs};
+                   ctx.waitall(mine);
+                   return;
+                 }
+                 const Request own = ctx.isend(1, 64);
+                 ctx.compute_for(1e-3);  // rank 1 has posted by now
+                 const Request foreign[] = {own, theirs};
+                 ctx.waitall(foreign);
+               }),
+               InvalidArgument);
 }
 
 TEST(MpiWorld, AlltoallSlowerThanAllgatherPerByte) {

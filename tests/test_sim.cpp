@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/engine.h"
 #include "sim/fiber.h"
 #include "support/error.h"
@@ -212,9 +213,10 @@ TEST(FiberDeathTest, StackOverflowFaultsOnTheGuardPage) {
 TEST(Engine, EventsFireInTimeOrder) {
   Engine e;
   std::vector<int> order;
-  e.schedule_at(2.0, [&] { order.push_back(2); });
-  e.schedule_at(1.0, [&] { order.push_back(1); });
-  e.schedule_at(3.0, [&] { order.push_back(3); });
+  for (const int t : {2, 1, 3}) {
+    e.spawn("p" + std::to_string(t), [&, t](Process&) { order.push_back(t); },
+            t);
+  }
   e.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(e.now(), 3.0);
@@ -224,7 +226,8 @@ TEST(Engine, EqualTimestampsFireFifo) {
   Engine e;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
-    e.schedule_at(1.0, [&, i] { order.push_back(i); });
+    e.spawn("p" + std::to_string(i), [&, i](Process&) { order.push_back(i); },
+            1.0);
   }
   e.run();
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -232,10 +235,85 @@ TEST(Engine, EqualTimestampsFireFifo) {
 
 TEST(Engine, RejectsPastEvents) {
   Engine e;
-  e.schedule_at(5.0, [&] {
-    EXPECT_THROW(e.schedule_at(1.0, [] {}), InvalidArgument);
+  e.spawn("p", [&](Process& p) {
+    p.advance(5.0);
+    EXPECT_THROW(e.spawn("late", [](Process&) {}, 1.0), InvalidArgument);
+  });
+  e.run();  // the rejected process was never created, so nothing deadlocks
+  EXPECT_DOUBLE_EQ(e.now(), 5.0);
+}
+
+TEST(Engine, AdvanceOntoAQueuedWakeTimeYieldsFifo) {
+  Engine e;
+  std::vector<std::string> order;
+  e.spawn("sleeper", [&](Process& p) {
+    p.advance(2.0);  // queued: the runner's start is still pending
+    order.push_back("sleeper@" + std::to_string(p.engine().now()));
+  });
+  e.spawn("runner", [&](Process& p) {
+    p.advance(1.0);  // before the sleeper's wake: keeps running
+    order.push_back("runner@" + std::to_string(p.engine().now()));
+    p.advance(1.0);  // onto the sleeper's wake time: queued behind it
+    order.push_back("runner@" + std::to_string(p.engine().now()));
   });
   e.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"runner@1.000000",
+                                             "sleeper@2.000000",
+                                             "runner@2.000000"}));
+  EXPECT_EQ(e.events_dispatched(), 5u);  // two starts, three advances
+  EXPECT_EQ(e.inline_wakes(), 1u);
+}
+
+// Two processes exchange 50 round trips: each side pays its overheads with
+// advance(), wakes the peer at the message's arrival time and blocks for
+// the reply.  302 is the count the engine dispatched when every advance was
+// a queued event, so inline wakes must keep counting.
+TEST(Engine, PingPongDispatchCountIsPinned) {
+  constexpr int kRounds = 50;
+  Engine e;
+  Process* pong = nullptr;
+  Process& ping = e.spawn("ping", [&](Process& p) {
+    for (int i = 0; i < kRounds; ++i) {
+      p.advance(1e-6);                            // send overhead
+      pong->unblock_at(p.engine().now() + 3e-6);  // arrival at the peer
+      p.block();                                  // wait for the reply
+      p.advance(0.5e-6);                          // receive overhead
+    }
+  });
+  pong = &e.spawn("pong", [&](Process& p) {
+    for (int i = 0; i < kRounds; ++i) {
+      p.block();
+      p.advance(0.5e-6);
+      p.advance(1e-6);
+      ping.unblock_at(p.engine().now() + 3e-6);
+    }
+  });
+  e.run();
+  EXPECT_EQ(e.events_dispatched(), 302u);
+  EXPECT_GT(e.inline_wakes(), 0u);
+}
+
+TEST(Engine, RunRecordsEventAndInlineWakeCounters) {
+  obs::reset_metrics();
+  obs::set_metrics_enabled(true);
+  Engine e;
+  for (int i = 0; i < 4; ++i) {
+    e.spawn("p" + std::to_string(i), [i](Process& p) {
+      for (int k = 0; k < 10; ++k) p.advance(1.0 + 0.25 * i);
+    });
+  }
+  e.run();
+  obs::set_metrics_enabled(false);
+  const obs::MetricsSnapshot snap = obs::metrics_snapshot();
+  obs::reset_metrics();
+  const obs::CounterValue* events = snap.counter("sim.events");
+  const obs::CounterValue* inline_wakes = snap.counter("sim.inline_wakes");
+  ASSERT_NE(events, nullptr);
+  ASSERT_NE(inline_wakes, nullptr);
+  EXPECT_EQ(events->value, e.events_dispatched());
+  EXPECT_EQ(inline_wakes->value, e.inline_wakes());
+  EXPECT_EQ(e.events_dispatched(), 44u);
+  EXPECT_GT(e.inline_wakes(), 0u);
 }
 
 TEST(Engine, ProcessAdvancesClock) {
