@@ -108,22 +108,17 @@ ComputeProjection Projector::compute_component(
   return project_compute(app, view, base_, target_machine, ck, options);
 }
 
-CommProjection Projector::comm_component(const AppBaseData& app,
-                                         const std::string& target_machine,
-                                         int ck, double compute_scale,
-                                         const ProjectionOptions& options)
-    const {
+CommProjection project_comm_component(const AppBaseData& app, int ck,
+                                      const imb::ImbDatabase& base_imb,
+                                      const imb::ImbDatabase& target_imb,
+                                      double compute_scale,
+                                      const ProjectionOptions& options) {
   SWAPP_SPAN("comm.project");
-  const auto imb_it = target_imb_.find(target_machine);
-  if (imb_it == target_imb_.end()) {
-    throw NotFound("target not registered: " + target_machine);
-  }
   const mpi::MpiProfile& profile = app.profile_at(ck);
-
   if (options.decouple_components) {
     // Step 2 of §3.3: communication projection with the WaitTime model fed
     // by the projected compute speedup.
-    return project_communication(profile, ck, base_imb_, imb_it->second,
+    return project_communication(profile, ck, base_imb, target_imb,
                                  compute_scale, options.comm);
   }
   // Coupled ablation: the whole communication budget follows the compute
@@ -137,6 +132,19 @@ CommProjection Projector::comm_component(const AppBaseData& app,
     acc.target_transfer += elapsed * compute_scale;
   }
   return coupled;
+}
+
+CommProjection Projector::comm_component(const AppBaseData& app,
+                                         const std::string& target_machine,
+                                         int ck, double compute_scale,
+                                         const ProjectionOptions& options)
+    const {
+  const auto imb_it = target_imb_.find(target_machine);
+  if (imb_it == target_imb_.end()) {
+    throw NotFound("target not registered: " + target_machine);
+  }
+  return project_comm_component(app, ck, base_imb_, imb_it->second,
+                                compute_scale, options);
 }
 
 ProjectionResult Projector::project(const AppBaseData& app,

@@ -81,6 +81,17 @@ ComputeProjection rescale_reference(const ComputeProjection& at_reference,
                                     const AppBaseData& app, int reference_ck,
                                     int ck);
 
+/// Communication component of a projection of `app` at `ck` tasks, fed by
+/// the projected compute scale: the decoupled WaitTime-model projection
+/// against the base and target IMB tables, or, when
+/// `options.decouple_components` is off, the coupled ablation that scales
+/// the whole communication budget by the compute speedup.
+CommProjection project_comm_component(const AppBaseData& app, int ck,
+                                      const imb::ImbDatabase& base_imb,
+                                      const imb::ImbDatabase& target_imb,
+                                      double compute_scale,
+                                      const ProjectionOptions& options);
+
 class Projector {
  public:
   Projector(machine::Machine base, SpecLibrary spec, imb::ImbDatabase base_imb);

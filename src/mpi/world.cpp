@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "mpi/collectives.h"
+#include "obs/metrics.h"
 #include "support/error.h"
 
 namespace swapp::mpi {
@@ -235,6 +236,7 @@ double World::path_bandwidth_gbs(int src, int dst) const {
 }
 
 Seconds World::dispatch(int src, int dst, Bytes bytes, Seconds ready) {
+  ++messages_;
   const double bw = path_bandwidth_gbs(src, dst);
   const Seconds serialisation = static_cast<double>(bytes) / (bw * 1e9);
   const int src_node = node_of(src);
@@ -532,6 +534,7 @@ void World::run(std::function<void(RankCtx&)> body) {
                   });
   }
   engine_.run();
+  SWAPP_COUNT("mpi.messages", messages_);
   build_profile();
 }
 

@@ -109,6 +109,9 @@ class World {
 
   /// Results, valid after run():
   Seconds wall_time() const;
+  /// Point-to-point messages put on the wire (eager or rendezvous); run()
+  /// records it as the "mpi.messages" counter.
+  std::uint64_t messages_dispatched() const noexcept { return messages_; }
   const MpiProfile& profile() const;
   /// Instruction-weighted PMU counters over all ranks' compute() calls.
   const machine::PmuCounters& counters() const;
@@ -237,6 +240,7 @@ class World {
   std::vector<std::unique_ptr<RankCtx>> contexts_;
   std::vector<CollectiveSlot> collectives_;
   std::uint64_t next_request_serial_ = 1;
+  std::uint64_t messages_ = 0;
   bool ran_ = false;
 
   MpiProfile profile_;

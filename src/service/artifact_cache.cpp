@@ -113,27 +113,27 @@ std::string describe_app_inputs(const std::string& app_name,
 
 namespace {
 
-/// One artifact kind: a bounded memory tier plus (for persistent kinds) a
-/// load/save pair from io/persist.  Eviction is cost-aware: each entry
-/// remembers what it cost to produce this time (disk load or recompute) and
-/// its disk footprint, and the victim is the entry with the lowest
-/// cost-per-byte — the one that is cheapest to bring back relative to the
-/// memory it holds.  Memory-only kinds have no disk footprint, so their
-/// score degenerates to the raw recompute cost, which is exactly the right
-/// ordering for them.  Ties (and the uniform-cost case) fall back to LRU.
+/// One artifact kind: a bounded memory tier plus a load/save pair from
+/// io/persist.  Eviction is cost-aware: each entry remembers what it cost to
+/// produce this time (disk load or recompute) and its disk footprint, and
+/// the victim is the entry with the lowest cost-per-byte — the one that is
+/// cheapest to bring back relative to the memory it holds.  Without a cache
+/// directory entries have no disk footprint, so their score degenerates to
+/// the raw recompute cost.  Ties (and the uniform-cost case) fall back to
+/// LRU.
 template <typename T>
 struct Store {
   using Saver = void (*)(const std::filesystem::path&, const T&);
   using Loader = T (*)(const std::filesystem::path&);
 
   std::string kind;
-  Saver save = nullptr;  ///< null for memory-only kinds
-  Loader load = nullptr;
+  Saver save;
+  Loader load;
 
   struct Entry {
     std::shared_ptr<const T> value;
     double cost_us = 0.0;      ///< observed load/recompute cost
-    std::uintmax_t bytes = 1;  ///< disk footprint; 1 for memory-only kinds
+    std::uintmax_t bytes = 1;  ///< disk footprint; 1 without a disk tier
     double touched_us = 0.0;   ///< last hit/insert time (age-decay input)
   };
   std::map<std::uint64_t, Entry> entries;
@@ -220,13 +220,17 @@ struct ArtifactCache::Impl {
   double half_life_us = 1800.0 * 1e6;  ///< eviction-score age decay
   mutable std::mutex mutex;
   CacheStats stats;
+  /// Measures entry costs and stamps touches (microseconds); null reads the
+  /// trace clock.  Replaced only through debug_set_clock.
+  std::function<double()> clock;
+
+  double clock_us() const { return clock ? clock() : obs::trace_now_us(); }
 
   Store<imb::ImbDatabase> imb{"imb", &io::save_imb_database,
                               &io::load_imb_database};
   Store<core::SpecLibrary> spec{"spec", &io::save_spec_library,
                                 &io::load_spec_library};
   Store<core::AppBaseData> app{"app", &io::save_app_data, &io::load_app_data};
-  Store<core::SpecIndex> index{"spec-index"};
   Store<core::ComputeProjection> surrogate{"surrogate",
                                            &io::save_compute_projection,
                                            &io::load_compute_projection};
@@ -312,7 +316,7 @@ struct ArtifactCache::Impl {
       const auto it = store.entries.find(key);
       if (it != store.entries.end()) {
         ++stats.memory_hits;
-        touch(store, key, obs::trace_now_us());
+        touch(store, key, clock_us());
         if (source) *source = ArtifactSource::kMemory;
         SWAPP_COUNT("cache.memory_hits", 1);
         observe_lookup(store, started_us);
@@ -326,7 +330,7 @@ struct ArtifactCache::Impl {
     // whether metrics are enabled: the eviction policy feeds on it.
     std::shared_ptr<const T> value;
     ArtifactSource from = ArtifactSource::kComputed;
-    const bool on_disk = store.load != nullptr && !dir.empty();
+    const bool on_disk = !dir.empty();
     bool corrupt = false;
     bool lock_waited = false;
     double cost_us = 0.0;
@@ -334,12 +338,12 @@ struct ArtifactCache::Impl {
     const auto try_load = [&](const std::filesystem::path& file) {
       std::error_code ec;
       if (!std::filesystem::exists(file, ec)) return;
-      const double load_started_us = obs::trace_now_us();
+      const double load_started_us = clock_us();
       try {
         value = std::make_shared<const T>(store.load(file));
         from = ArtifactSource::kDisk;
         corrupt = false;
-        cost_us = obs::trace_now_us() - load_started_us;
+        cost_us = clock_us() - load_started_us;
         const std::uintmax_t size = std::filesystem::file_size(file, ec);
         if (!ec && size > 0) bytes = size;
       } catch (const std::exception&) {
@@ -363,9 +367,9 @@ struct ArtifactCache::Impl {
         if (relock_probe && lock_waited) try_load(path_of(store, dir, key));
       }
       if (!value) {
-        const double make_started_us = obs::trace_now_us();
+        const double make_started_us = clock_us();
         value = std::make_shared<const T>(make());
-        cost_us = obs::trace_now_us() - make_started_us;
+        cost_us = clock_us() - make_started_us;
         if (obs::metrics_enabled()) {
           obs::Histogram("cache.recompute_cost_us." + store.kind)
               .observe(cost_us);
@@ -409,7 +413,7 @@ struct ArtifactCache::Impl {
       ++stats.misses;
       SWAPP_COUNT("cache.misses", 1);
     }
-    const double now_us = obs::trace_now_us();
+    const double now_us = clock_us();
     const auto [it, inserted] = store.entries.emplace(
         key, typename Store<T>::Entry{value, cost_us, bytes, now_us});
     if (!inserted) {
@@ -467,12 +471,6 @@ std::shared_ptr<const core::AppBaseData> ArtifactCache::app_data(
   return impl_->get(impl_->app, cache_dir_, canonical_inputs, make, source);
 }
 
-std::shared_ptr<const core::SpecIndex> ArtifactCache::spec_index(
-    const std::string& canonical_inputs,
-    const std::function<core::SpecIndex()>& make, ArtifactSource* source) {
-  return impl_->get(impl_->index, cache_dir_, canonical_inputs, make, source);
-}
-
 std::shared_ptr<const core::ComputeProjection>
 ArtifactCache::surrogate_projection(
     const std::string& canonical_inputs,
@@ -493,6 +491,11 @@ void ArtifactCache::set_eviction_half_life(Seconds half_life) {
   impl_->half_life_us = half_life * 1e6;
 }
 
+void ArtifactCache::debug_set_clock(std::function<double()> now_us) {
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  impl_->clock = std::move(now_us);
+}
+
 void ArtifactCache::debug_age_entries(Seconds seconds) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   const double delta_us = seconds * 1e6;
@@ -502,7 +505,6 @@ void ArtifactCache::debug_age_entries(Seconds seconds) {
   age(impl_->imb);
   age(impl_->spec);
   age(impl_->app);
-  age(impl_->index);
   age(impl_->surrogate);
 }
 

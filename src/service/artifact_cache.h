@@ -1,16 +1,13 @@
 // Content-addressed artifact store for the batch projection service.
 //
 // Every expensive input of a projection — an IMB database, a SPEC-style
-// library, an application base profile, an indexed spec view, a surrogate
-// search result — is a pure function of a describable set of inputs.  The
+// library, an application base profile, a surrogate search result — is a
+// pure function of a describable set of inputs.  The
 // cache keys each artifact by an FNV-1a fingerprint of its canonical input
 // description (serialised with io/record so the key survives formatting
 // churn), keeps a bounded in-memory tier per kind, and, when a cache
-// directory is configured, persists the kinds io/persist can round-trip
-// (IMB databases, spec libraries, app profiles, surrogate projections) so a
-// later process can skip simulation — and the GA search — entirely.  Spec
-// indexes are cheap to rebuild relative to their inputs and stay
-// memory-only.
+// directory is configured, persists every kind through io/persist so a
+// later process can skip simulation — and the GA search — entirely.
 //
 // Cross-process coordination: persistent-kind misses are serialised through
 // a per-key flock lock file, so concurrent standalone processes sharing one
@@ -33,7 +30,6 @@
 
 #include "core/compute_projection.h"
 #include "core/profiles.h"
-#include "core/spec_index.h"
 #include "imb/suite.h"
 #include "machine/machine.h"
 
@@ -113,12 +109,6 @@ class ArtifactCache {
       const std::function<core::AppBaseData()>& make,
       ArtifactSource* source = nullptr);
 
-  /// Memory-only kind (derived artifact, cheap to rebuild from its library).
-  std::shared_ptr<const core::SpecIndex> spec_index(
-      const std::string& canonical_inputs,
-      const std::function<core::SpecIndex()>& make,
-      ArtifactSource* source = nullptr);
-
   /// Persistent: a finished GA search is the single most expensive artifact
   /// per byte the pipeline produces, so warm processes replay it from disk.
   /// The canonical inputs MUST describe everything the search consumed —
@@ -129,10 +119,6 @@ class ArtifactCache {
       const std::function<core::ComputeProjection()>& make,
       ArtifactSource* source = nullptr);
 
-  const std::filesystem::path& cache_dir() const noexcept {
-    return cache_dir_;
-  }
-  bool persistent() const noexcept { return !cache_dir_.empty(); }
   CacheStats stats() const;
 
   /// Half-life (seconds) of the age decay applied to the memory-tier
@@ -144,6 +130,12 @@ class ArtifactCache {
   /// Test seam: ages every resident entry by `seconds` without sleeping
   /// (subtracts from the last-touch stamps, deterministically).
   void debug_age_entries(Seconds seconds);
+
+  /// Test seam: replaces the clock (microseconds) that measures each entry's
+  /// cost and stamps its touches, so a test can give entries exact costs and
+  /// the eviction order no longer depends on host load.  Install it before
+  /// the cache is used; null restores the trace clock.
+  void debug_set_clock(std::function<double()> now_us);
 
  private:
   struct Impl;

@@ -1,6 +1,5 @@
 #include "service/planner.h"
 
-#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -10,52 +9,22 @@
 
 namespace swapp::service {
 
-std::size_t BatchPlan::artifact_count(const std::string& kind) const {
-  std::size_t n = 0;
-  for (const PlannedArtifact& a : artifacts) n += a.kind == kind;
-  return n;
-}
-
-std::string BatchPlan::describe() const {
-  std::ostringstream os;
-  os << "batch plan: " << requests << " request(s), " << apps.size()
-     << " app(s), " << targets.size() << " target(s)\n";
-  os << "  spec-library task counts:";
-  for (const int c : task_counts) os << ' ' << c;
-  os << "\n  shared artifacts: " << artifact_count("spec-index")
-     << " spec index(es), " << artifact_count("surrogate-search")
-     << " shared surrogate search(es)\n";
-  os << "  GA searches: " << searches << " (naive: " << naive_searches
-     << ")\n";
-  return os.str();
-}
-
 BatchPlan plan_batch(const std::vector<ServiceRequest>& requests,
-                     const machine::Machine& base,
                      const std::map<std::string, machine::Machine>& targets) {
   SWAPP_SPAN("planner.plan_batch");
   BatchPlan plan;
   plan.requests = requests.size();
+  plan.naive_searches = requests.size();
 
   std::set<std::string> seen_apps;
   std::set<std::string> seen_targets;
   std::set<int> demands;
-  std::map<std::string, std::size_t> artifact_slots;
-
-  const auto note_artifact = [&](const std::string& kind,
-                                 const std::string& key) {
-    const auto [it, inserted] =
-        artifact_slots.emplace(kind + "\n" + key, plan.artifacts.size());
-    if (inserted) plan.artifacts.push_back(PlannedArtifact{kind, key, 0});
-    ++plan.artifacts[it->second].uses;
-    return inserted;
-  };
+  std::map<std::string, std::size_t> search_slots;
 
   for (const ServiceRequest& r : requests) {
     SWAPP_REQUIRE(r.cores >= 1, "request needs cores >= 1");
     SWAPP_REQUIRE(r.threads >= 1, "request needs threads >= 1");
-    const auto target_it = targets.find(r.target);
-    if (target_it == targets.end()) {
+    if (targets.find(r.target) == targets.end()) {
       throw NotFound("batch target not configured: " + r.target);
     }
     if (seen_apps.insert(r.app).second) plan.apps.push_back(r.app);
@@ -66,31 +35,22 @@ BatchPlan plan_batch(const std::vector<ServiceRequest>& requests,
     demands.insert(r.cores * r.threads);
     demands.insert(search_ck * r.threads);
 
-    // Mirror of the engine's planning keys: the indexed view is shared per
-    // (target, occupancy pair); the search per (app, target, reference,
-    // options) group when a reference count pins it.
-    const int demand = search_ck * r.threads;
-    const int base_occ =
-        core::SpecLibrary::occupancy_for(demand, base.cores_per_node);
-    const int target_occ = core::SpecLibrary::occupancy_for(
-        demand, target_it->second.cores_per_node);
-    note_artifact("spec-index",
-                  core::SpecIndex::key_of(r.target, base_occ, target_occ));
-
-    ++plan.naive_searches;
-    if (reference > 0) {
-      std::ostringstream key;
-      key << r.app << '|' << r.target << '|' << r.threads << '|'
-          << core::compute_options_key(r.options.compute);
-      if (note_artifact("surrogate-search", key.str())) ++plan.searches;
-    } else {
-      ++plan.searches;
+    std::ostringstream key;
+    key << r.app << '\n' << r.target << '\n' << search_ck << '\n'
+        << r.threads << '\n' << core::compute_options_key(r.options.compute);
+    const auto [it, inserted] =
+        search_slots.emplace(key.str(), plan.searches.size());
+    if (inserted) {
+      plan.searches.push_back(BatchPlan::Search{
+          r.app, r.target, search_ck, r.threads, r.options.compute, 0});
     }
+    ++plan.searches[it->second].uses;
+    plan.search_of.push_back(it->second);
   }
 
   plan.task_counts.assign(demands.begin(), demands.end());
   SWAPP_COUNT("planner.requests", plan.requests);
-  SWAPP_COUNT("planner.searches", plan.searches);
+  SWAPP_COUNT("planner.searches", plan.searches.size());
   SWAPP_COUNT("planner.naive_searches", plan.naive_searches);
   return plan;
 }

@@ -1,195 +1,97 @@
 #include "service/service.h"
 
-#include <chrono>
 #include <utility>
 
-#include "io/persist.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/error.h"
 #include "support/parallel.h"
 
 namespace swapp::service {
+namespace {
 
-bool ProjectionService::BatchReport::warm() const {
-  for (const ArtifactNote& note : artifacts) {
-    if (note.source == ArtifactSource::kComputed) return false;
-  }
-  return true;
-}
+constexpr ResolverNames kNames{"service", "service.spec_library",
+                               "service.imb_databases",
+                               "service.app_profiles", "service.searches"};
+
+}  // namespace
 
 ProjectionService::ProjectionService(machine::Machine base,
                                      std::vector<machine::Machine> targets,
                                      ServiceConfig config)
-    : base_(std::move(base)),
+    : ArtifactResolver(std::move(base), config),
       targets_(std::move(targets)),
-      config_(std::move(config)),
-      cache_(config_.shared_cache
-                 ? config_.shared_cache
-                 : std::make_shared<ArtifactCache>(
-                       config_.cache_dir, config_.cache_capacity,
-                       config_.cache_dir_max_bytes)),
-      collect_imb_([](const machine::Machine& m) {
-        return imb::measure_database(m);
-      }) {
+      spec_task_counts_(std::move(config.spec_task_counts)) {
   SWAPP_REQUIRE(!targets_.empty(), "service needs at least one target");
   for (const machine::Machine& t : targets_) {
     targets_by_name_.emplace(t.name, t);
   }
 }
 
-void ProjectionService::set_spec_collector(SpecCollector collect) {
-  collect_spec_ = std::move(collect);
-}
-
-void ProjectionService::set_imb_collector(ImbCollector collect) {
-  SWAPP_REQUIRE(collect != nullptr, "IMB collector must be callable");
-  collect_imb_ = std::move(collect);
-}
-
-void ProjectionService::add_app(const std::string& name,
-                                std::string canonical_inputs,
-                                AppCollector collect) {
-  SWAPP_REQUIRE(collect != nullptr, "app collector must be callable");
-  apps_[name] =
-      AppEntry{std::move(canonical_inputs), std::move(collect), nullptr};
-}
-
-void ProjectionService::add_app_file(const std::string& name,
-                                     const std::filesystem::path& path) {
-  apps_[name] = AppEntry{
-      {}, nullptr, std::make_shared<const core::AppBaseData>(
-                       io::load_app_data(path))};
-}
-
-bool ProjectionService::has_app(const std::string& name) const {
-  return apps_.find(name) != apps_.end();
-}
-
 ProjectionService::BatchReport ProjectionService::run(
     const std::vector<ServiceRequest>& requests) {
   SWAPP_SPAN("service.run");
   SWAPP_COUNT("service.batches", 1);
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point phase_start = Clock::now();
   BatchReport report;
-  const auto end_phase = [&](const char* phase) {
-    const Clock::time_point now = Clock::now();
-    report.phases.push_back(PhaseTime{
-        phase, std::chrono::duration<double>(now - phase_start).count()});
-    phase_start = now;
-  };
-
-  report.plan = plan_batch(requests, base_, targets_by_name_);
+  Run run(*this, kNames, report);
+  report.plan = plan_batch(requests, targets_by_name_);
   for (const std::string& app : report.plan.apps) {
     if (!has_app(app)) throw NotFound("app not registered: " + app);
   }
-  end_phase("plan");
+  run.end_phase("plan");
 
-  // --- Acquire shared inputs through the cache -----------------------------
-  const std::vector<int>& task_counts = config_.spec_task_counts.empty()
-                                            ? report.plan.task_counts
-                                            : config_.spec_task_counts;
-  SWAPP_REQUIRE(collect_spec_ != nullptr,
-                "spec collector not set (see set_spec_collector)");
-  std::shared_ptr<const core::SpecLibrary> spec;
-  {
-    SWAPP_SPAN("service.spec_library");
-    ArtifactSource source = ArtifactSource::kComputed;
-    spec = cache_->spec_library(
-        describe_spec_inputs(base_, targets_, task_counts),
-        [&] { return collect_spec_(base_, targets_, task_counts); }, &source);
-    report.artifacts.push_back(ArtifactNote{"spec library", source});
-  }
-  end_phase("spec-library");
+  // --- Resolve the shared inputs --------------------------------------------
+  const std::vector<Library> spec = run.spec_libraries(
+      {{targets_, "spec library"}},
+      spec_task_counts_.empty() ? report.plan.task_counts : spec_task_counts_);
+  run.end_phase("spec-library");
 
-  // IMB databases, base first then targets in configuration order.  Each
-  // fan-out item is one machine; the measurement inside is itself parallel
-  // when this loop runs serially.
-  std::vector<const machine::Machine*> machines;
-  machines.push_back(&base_);
-  for (const machine::Machine& t : targets_) machines.push_back(&t);
-  struct ImbGet {
-    std::shared_ptr<const imb::ImbDatabase> db;
-    ArtifactSource source = ArtifactSource::kComputed;
-  };
-  std::vector<ImbGet> imb_dbs;
-  {
-    SWAPP_SPAN("service.imb_databases");
-    imb_dbs = parallel_map(machines, [&](const machine::Machine* m) {
-      ImbGet got;
-      got.db = cache_->imb_database(
-          describe_imb_inputs(*m, imb::default_core_counts(),
-                              imb::default_message_sizes()),
-          [&] { return collect_imb_(*m); }, &got.source);
-      return got;
-    });
+  // IMB databases, base first then targets in configuration order.
+  std::vector<machine::Machine> machines{base()};
+  machines.insert(machines.end(), targets_.begin(), targets_.end());
+  const std::vector<std::shared_ptr<const imb::ImbDatabase>> imb =
+      run.imb_databases(machines);
+  std::map<std::string, const imb::ImbDatabase*> target_imb;
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    target_imb.emplace(targets_[i].name, imb[i + 1].get());
   }
-  for (std::size_t i = 0; i < machines.size(); ++i) {
-    report.artifacts.push_back(
-        ArtifactNote{"IMB database (" + machines[i]->name + ")",
-                     imb_dbs[i].source});
-  }
-  end_phase("imb-databases");
+  run.end_phase("imb-databases");
 
   // Application base profiles, in plan (first-appearance) order.
-  struct AppGet {
-    std::shared_ptr<const core::AppBaseData> data;
-    ArtifactSource source = ArtifactSource::kComputed;
-  };
-  std::vector<AppGet> app_gets;
+  const std::vector<App> apps = run.app_profiles(report.plan.apps);
+  std::map<std::string, const App*> app_of;
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    app_of.emplace(report.plan.apps[i], &apps[i]);
+  }
+  run.end_phase("app-profiles");
+
+  // --- The planned searches, then every request from its search -------------
+  std::vector<SearchJob> jobs;
+  for (const BatchPlan::Search& s : report.plan.searches) {
+    const App& app = *app_of.at(s.app);
+    SWAPP_REQUIRE(app.data->threads_per_rank == s.threads,
+                  "request thread count does not match the profile of " +
+                      s.app);
+    jobs.push_back(SearchJob{&spec.front(), &app, s.app, s.target,
+                             s.search_ck, s.threads, s.options});
+  }
+  const std::vector<std::shared_ptr<const core::ComputeProjection>>
+      surrogates = run.searches(jobs);
+  report.results.resize(requests.size());
   {
-    SWAPP_SPAN("service.app_profiles");
-    app_gets = parallel_map(report.plan.apps, [&](const std::string& name) {
-      const AppEntry& entry = apps_.at(name);
-      AppGet got;
-      if (entry.fixed) {
-        got.data = entry.fixed;
-        got.source = ArtifactSource::kMemory;
-        return got;
-      }
-      got.data = cache_->app_data(entry.canonical, entry.collect,
-                                 &got.source);
-      return got;
+    SWAPP_SPAN("service.project_requests");
+    parallel_for(requests.size(), [&](std::size_t i) {
+      const ServiceRequest& r = requests[i];
+      const std::size_t s = report.plan.search_of[i];
+      report.results[i] = project_from_surrogate(
+          *app_of.at(r.app)->data, r.target, r.cores,
+          report.plan.searches[s].search_ck, *surrogates[s], *imb.front(),
+          *target_imb.at(r.target), r.options);
     });
   }
-  std::map<std::string, std::shared_ptr<const core::AppBaseData>> app_data;
-  for (std::size_t i = 0; i < report.plan.apps.size(); ++i) {
-    report.artifacts.push_back(ArtifactNote{
-        "app profile (" + report.plan.apps[i] + ")", app_gets[i].source});
-    app_data.emplace(report.plan.apps[i], app_gets[i].data);
-  }
-  end_phase("app-profiles");
+  run.end_phase("projection");
 
-  // --- Project the batch ---------------------------------------------------
-  core::Projector projector(base_, *spec, *imb_dbs.front().db);
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    projector.add_target(targets_[i].name, *imb_dbs[i + 1].db);
-  }
-
-  std::vector<core::ProjectionRequest> engine_requests;
-  engine_requests.reserve(requests.size());
-  for (const ServiceRequest& r : requests) {
-    const core::AppBaseData& data = *app_data.at(r.app);
-    SWAPP_REQUIRE(data.threads_per_rank == r.threads,
-                  "request thread count does not match the profile of " +
-                      r.app);
-    engine_requests.push_back(
-        core::ProjectionRequest{&data, r.target, r.cores, r.options});
-  }
-  report.results = projector.project_many(engine_requests);
-  end_phase("projection");
-  report.cache = cache_->stats();
-  // Surface the phase breakdown in the metrics snapshot ("service.phase_s.
-  // <phase>" gauges for the latest run, "service.phase_us.<phase>" histograms
-  // across runs), so machine-readable exports (--metrics, the server's stats
-  // endpoint) carry per-phase wall-clock without parsing stderr.
-  if (obs::metrics_enabled()) {
-    for (const PhaseTime& p : report.phases) {
-      obs::Gauge("service.phase_s." + p.phase).set(p.seconds);
-      obs::Histogram("service.phase_us." + p.phase).observe(p.seconds * 1e6);
-    }
-  }
+  run.finish();
   return report;
 }
 

@@ -1,121 +1,63 @@
 // Batch projection service: the collect-once / project-many workflow as one
 // subsystem.
 //
-// A `ProjectionService` owns the machines, the artifact cache, and the
-// collectors that can (re)build each input artifact.  `run` takes a batch of
-// `ServiceRequest` rows, plans them (planner.h), acquires the shared inputs
-// through the content-addressed cache (artifact_cache.h) — so a warm cache
-// directory satisfies a whole batch with zero simulation — and projects the
-// batch through `Projector::project_many`, whose results are byte-identical
-// to N sequential `Projector::project` calls at every thread count.
+// A `ProjectionService` owns the machines and, through its
+// `ArtifactResolver` (resolver.h), the collectors and the artifact cache.
+// `run` takes a batch of `ServiceRequest` rows, plans them (planner.h),
+// resolves the shared inputs and every planned GA search through the
+// content-addressed cache (artifact_cache.h) — so a warm cache directory
+// satisfies a whole batch with zero simulation and zero searches — and
+// projects each request from its search.  Results are byte-identical to
+// sequential `Projector::project` calls at every thread count.
 //
 // The service depends only on core/io/imb/machine: application profiling and
-// SPEC-library collection are injected as functions, so callers (CLI, Lab)
-// decide where those come from without this layer linking the simulator
-// harness.
+// SPEC-library collection are injected as functions, so callers (CLI,
+// daemon) decide where those come from without this layer linking the
+// simulator harness.
 #pragma once
 
-#include <filesystem>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/projector.h"
 #include "machine/machine.h"
-#include "service/artifact_cache.h"
 #include "service/planner.h"
+#include "service/resolver.h"
 
 namespace swapp::service {
 
-struct ServiceConfig {
-  /// Artifact cache directory; empty keeps the cache in memory only.
-  std::filesystem::path cache_dir;
-  std::size_t cache_capacity = 16;
-  /// Byte cap for the disk tier (0 = unbounded); see ArtifactCache.
-  std::uintmax_t cache_dir_max_bytes = 0;
-  /// When set, the service records into this cache instead of owning one
-  /// (the cache_* fields above are then ignored).  A long-running owner —
-  /// the projection server — shares one resident cache across the
-  /// short-lived services it builds per coalesced batch, making that owner
-  /// the single process touching the cache directory.
-  std::shared_ptr<ArtifactCache> shared_cache;
+struct ServiceConfig : CacheConfig {
   /// Task-count grid for the SPEC library; empty derives the grid from each
-  /// batch's requests.  Fixing it keeps the library artifact shared across
-  /// batches with different request mixes.
+  /// batch's requests.  Fixing it keeps the library artifact (and the
+  /// surrogates keyed by it) shared across batches with different request
+  /// mixes.
   std::vector<int> spec_task_counts;
 };
 
-class ProjectionService {
+class ProjectionService : public ArtifactResolver {
  public:
-  using SpecCollector = std::function<core::SpecLibrary(
-      const machine::Machine& base,
-      const std::vector<machine::Machine>& targets,
-      const std::vector<int>& task_counts)>;
-  using ImbCollector =
-      std::function<imb::ImbDatabase(const machine::Machine&)>;
-  using AppCollector = std::function<core::AppBaseData()>;
-
   /// `targets` are the candidate machines this service projects onto (the
   /// SPEC library and one IMB database are collected for all of them).
   ProjectionService(machine::Machine base,
                     std::vector<machine::Machine> targets,
                     ServiceConfig config = {});
 
-  /// Collector for the SPEC-style library; must be set before `run` (the
-  /// service itself does not link a benchmark runner).
-  void set_spec_collector(SpecCollector collect);
-  /// Collector for per-machine IMB databases; defaults to
-  /// `imb::measure_database`.
-  void set_imb_collector(ImbCollector collect);
-
-  /// Registers an application by name.  `canonical_inputs` is the cache key
-  /// material (see describe_app_inputs); `collect` produces the base profile
-  /// on a cache miss.
-  void add_app(const std::string& name, std::string canonical_inputs,
-               AppCollector collect);
-  /// Registers an already-collected profile from a file (loaded eagerly;
-  /// never re-simulated, never re-persisted).
-  void add_app_file(const std::string& name,
-                    const std::filesystem::path& path);
-  bool has_app(const std::string& name) const;
-
-  /// One acquired artifact and the tier that satisfied it.
-  struct ArtifactNote {
-    std::string name;
-    ArtifactSource source = ArtifactSource::kComputed;
-  };
-
-  /// Wall-clock time one phase of `run` took.  Always measured (one clock
-  /// read per phase), independent of the obs runtime switches.
-  struct PhaseTime {
-    std::string phase;
-    double seconds = 0.0;
-  };
-
-  struct BatchReport {
+  /// Phases in execution order: plan, spec-library, imb-databases,
+  /// app-profiles, projection (which runs the searches).
+  struct BatchReport : RunReport {
     /// results[i] corresponds to requests[i] (input order).
     std::vector<core::ProjectionResult> results;
     BatchPlan plan;
-    std::vector<ArtifactNote> artifacts;  ///< acquisition order
-    CacheStats cache;                     ///< cumulative cache counters
-    /// Phase breakdown of this run in execution order: plan, spec-library,
-    /// imb-databases, app-profiles, projection.
-    std::vector<PhaseTime> phases;
-    /// True iff no artifact in this batch had to be computed (every input
-    /// came from the memory or disk tier — a fully warm run).
-    bool warm() const;
   };
 
-  /// Plans, acquires artifacts, projects.  Throws NotFound for requests
-  /// naming unregistered apps or unconfigured targets.
+  /// Plans, acquires artifacts, searches, projects.  Throws NotFound for
+  /// requests naming unregistered apps or unconfigured targets.
   BatchReport run(const std::vector<ServiceRequest>& requests);
 
   /// Several independent batches planned and executed as one run, so the
-  /// planner's dedup (shared spec indexes, shared GA searches) works across
-  /// them — the server's coalescing entry point, where each slice is one
-  /// client's batch.
+  /// planner's dedup (shared GA searches) works across them — the server's
+  /// coalescing entry point, where each slice is one client's batch.
   struct CoalescedReport {
     BatchReport combined;  ///< the one planned run over every slice
     /// slices[i] holds the results for batches[i], in that batch's order.
@@ -124,24 +66,10 @@ class ProjectionService {
   CoalescedReport run_coalesced(
       const std::vector<std::vector<ServiceRequest>>& batches);
 
-  ArtifactCache& cache() noexcept { return *cache_; }
-  const machine::Machine& base() const noexcept { return base_; }
-
  private:
-  struct AppEntry {
-    std::string canonical;
-    AppCollector collect;
-    std::shared_ptr<const core::AppBaseData> fixed;  ///< file-backed apps
-  };
-
-  machine::Machine base_;
   std::vector<machine::Machine> targets_;
   std::map<std::string, machine::Machine> targets_by_name_;
-  ServiceConfig config_;
-  std::shared_ptr<ArtifactCache> cache_;
-  SpecCollector collect_spec_;
-  ImbCollector collect_imb_;
-  std::map<std::string, AppEntry> apps_;
+  std::vector<int> spec_task_counts_;
 };
 
 }  // namespace swapp::service

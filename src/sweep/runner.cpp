@@ -1,12 +1,8 @@
 #include "sweep/runner.h"
 
-#include <atomic>
-#include <chrono>
 #include <sstream>
 #include <utility>
 
-#include "io/persist.h"
-#include "io/record.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/error.h"
@@ -44,80 +40,24 @@ machine::Machine imb_representative(const machine::Machine& member,
   return rep;
 }
 
-/// Cache-key material identifying the application a surrogate was searched
-/// for.  Collector-backed apps use their registered canonical inputs;
-/// file-backed profiles are content-addressed (the file bypassed collection,
-/// so its registration carries no input description).
-std::string app_key_material(const std::string& canonical,
-                             const core::AppBaseData& data) {
-  if (!canonical.empty()) return canonical;
-  std::ostringstream os;
-  io::write_app_data(os, data);
-  return "app-content:" +
-         service::fingerprint_hex(service::fingerprint(os.str()));
-}
+constexpr service::ResolverNames kNames{"sweep", "sweep.spec_libraries",
+                                        "sweep.imb_databases",
+                                        "sweep.app_profile", "sweep.searches"};
 
 }  // namespace
-
-bool SweepRunner::SweepReport::warm() const {
-  for (const ArtifactNote& note : artifacts) {
-    if (note.source == service::ArtifactSource::kComputed) return false;
-  }
-  return true;
-}
 
 SweepRunner::SweepRunner(machine::Machine base,
                          std::vector<machine::Machine> targets,
                          SweepConfig config)
-    : base_(std::move(base)),
-      targets_(std::move(targets)),
-      config_(std::move(config)),
-      cache_(config_.shared_cache
-                 ? config_.shared_cache
-                 : std::make_shared<service::ArtifactCache>(
-                       config_.cache_dir, config_.cache_capacity,
-                       config_.cache_dir_max_bytes)),
-      collect_imb_([](const machine::Machine& m) {
-        return imb::measure_database(m);
-      }) {
-  SWAPP_REQUIRE(!targets_.empty(), "sweep runner needs at least one target");
-  for (const machine::Machine& t : targets_) {
-    targets_by_name_.emplace(t.name, t);
-  }
-}
-
-void SweepRunner::set_spec_collector(SpecCollector collect) {
-  collect_spec_ = std::move(collect);
-}
-
-void SweepRunner::set_imb_collector(ImbCollector collect) {
-  SWAPP_REQUIRE(collect != nullptr, "IMB collector must be callable");
-  collect_imb_ = std::move(collect);
-}
-
-void SweepRunner::add_app(const std::string& name, std::string canonical_inputs,
-                          AppCollector collect) {
-  SWAPP_REQUIRE(collect != nullptr, "app collector must be callable");
-  apps_[name] =
-      AppEntry{std::move(canonical_inputs), std::move(collect), nullptr};
-}
-
-void SweepRunner::add_app_file(const std::string& name,
-                               const std::filesystem::path& path) {
-  apps_[name] = AppEntry{
-      {}, nullptr, std::make_shared<const core::AppBaseData>(
-                       io::load_app_data(path))};
-}
-
-bool SweepRunner::has_app(const std::string& name) const {
-  return apps_.find(name) != apps_.end();
+    : service::ArtifactResolver(std::move(base), config),
+      max_points_(config.max_points) {
+  SWAPP_REQUIRE(!targets.empty(), "sweep runner needs at least one target");
+  for (const machine::Machine& t : targets) targets_by_name_.emplace(t.name, t);
 }
 
 SweepRunner::SweepReport SweepRunner::run(const SweepSpec& spec,
                                           const PointCallback& on_point) {
   SWAPP_SPAN("sweep.run");
-  SWAPP_REQUIRE(collect_spec_ != nullptr,
-                "spec collector not set (see set_spec_collector)");
   SWAPP_REQUIRE(spec.options.decouple_components,
                 "sweep requires decoupled components (the delta-aware plan "
                 "factors the pipelines along that seam)");
@@ -131,203 +71,71 @@ SweepRunner::SweepReport SweepRunner::run(const SweepSpec& spec,
   }
   const machine::Machine& original = target_it->second;
 
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point phase_start = Clock::now();
   SweepReport report;
-  const auto end_phase = [&](const char* phase) {
-    const Clock::time_point now = Clock::now();
-    report.phases.push_back(PhaseTime{
-        phase, std::chrono::duration<double>(now - phase_start).count()});
-    phase_start = now;
-  };
+  Run run(*this, kNames, report);
 
   // --- Expand and plan -------------------------------------------------------
   report.points = expand(spec, original);
-  if (report.points.size() > config_.max_points) {
+  if (report.points.size() > max_points_) {
     std::ostringstream os;
     os << "sweep expands to " << report.points.size()
-       << " points, over the cap of " << config_.max_points;
+       << " points, over the cap of " << max_points_;
     throw InvalidArgument(os.str());
   }
   report.plan = plan_sweep(spec, original, report.points);
   SWAPP_COUNT("sweep.points", report.points.size());
-  end_phase("plan");
+  run.end_phase("plan");
 
   // --- One SPEC library per compute class ------------------------------------
-  std::vector<machine::Machine> spec_reps;
-  spec_reps.reserve(report.plan.compute_classes.size());
+  std::vector<LibraryJob> library_jobs;
   for (const SweepPlan::Class& c : report.plan.compute_classes) {
-    spec_reps.push_back(spec_representative(report.points[c.rep].machine,
-                                            original, c.matches_original));
+    machine::Machine rep = spec_representative(report.points[c.rep].machine,
+                                               original, c.matches_original);
+    std::string label = "spec library (" + rep.name + ")";
+    library_jobs.push_back(LibraryJob{{std::move(rep)}, std::move(label)});
   }
-  struct SpecGet {
-    std::string lib_key;
-    std::shared_ptr<const core::SpecLibrary> lib;
-    service::ArtifactSource source = service::ArtifactSource::kComputed;
-  };
-  std::vector<SpecGet> spec_gets;
-  {
-    SWAPP_SPAN("sweep.spec_libraries");
-    spec_gets = parallel_map(spec_reps, [&](const machine::Machine& rep) {
-      SpecGet got;
-      got.lib_key = service::describe_spec_inputs(base_, {rep},
-                                                  report.plan.task_counts);
-      got.lib = cache_->spec_library(
-          got.lib_key,
-          [&] { return collect_spec_(base_, {rep}, report.plan.task_counts); },
-          &got.source);
-      return got;
-    });
-  }
-  for (std::size_t i = 0; i < spec_reps.size(); ++i) {
-    report.artifacts.push_back(ArtifactNote{
-        "spec library (" + spec_reps[i].name + ")", spec_gets[i].source});
-  }
-  end_phase("spec-libraries");
+  const std::vector<Library> libraries =
+      run.spec_libraries(library_jobs, report.plan.task_counts);
+  run.end_phase("spec-libraries");
 
   // --- IMB databases: the base once, then one per comm class -----------------
-  struct ImbGet {
-    std::string name;
-    std::shared_ptr<const imb::ImbDatabase> db;
-    service::ArtifactSource source = service::ArtifactSource::kComputed;
-  };
-  std::vector<machine::Machine> imb_machines;
-  imb_machines.push_back(base_);
+  std::vector<machine::Machine> imb_machines{base()};
   for (const SweepPlan::Class& c : report.plan.comm_classes) {
     imb_machines.push_back(imb_representative(report.points[c.rep].machine,
                                               original, c.matches_original));
   }
-  std::vector<ImbGet> imb_gets;
-  {
-    SWAPP_SPAN("sweep.imb_databases");
-    imb_gets = parallel_map(
-        imb_machines, [&](const machine::Machine& m) {
-          ImbGet got;
-          got.name = m.name;
-          got.db = cache_->imb_database(
-              service::describe_imb_inputs(m, imb::default_core_counts(),
-                                           imb::default_message_sizes()),
-              [&] { return collect_imb_(m); }, &got.source);
-          return got;
-        });
-  }
-  for (const ImbGet& got : imb_gets) {
-    report.artifacts.push_back(
-        ArtifactNote{"IMB database (" + got.name + ")", got.source});
-  }
-  end_phase("imb-databases");
+  const std::vector<std::shared_ptr<const imb::ImbDatabase>> imb =
+      run.imb_databases(imb_machines);
+  run.end_phase("imb-databases");
 
   // --- The application's base profile ----------------------------------------
-  const AppEntry& entry = apps_.at(spec.app);
-  std::shared_ptr<const core::AppBaseData> app;
-  {
-    SWAPP_SPAN("sweep.app_profile");
-    service::ArtifactSource source = service::ArtifactSource::kComputed;
-    if (entry.fixed) {
-      app = entry.fixed;
-      source = service::ArtifactSource::kMemory;
-    } else {
-      app = cache_->app_data(entry.canonical, entry.collect, &source);
-    }
-    report.artifacts.push_back(
-        ArtifactNote{"app profile (" + spec.app + ")", source});
-  }
-  SWAPP_REQUIRE(app->threads_per_rank == spec.threads,
+  const App app = run.app_profiles({spec.app}).front();
+  SWAPP_REQUIRE(app.data->threads_per_rank == spec.threads,
                 "sweep thread count does not match the profile of " +
                     spec.app);
-  end_phase("app-profile");
+  run.end_phase("app-profile");
 
   // --- Projection: one GA search per search class, then every point ----------
-  const std::string app_material = app_key_material(entry.canonical, *app);
-  std::atomic<std::size_t> searches_run{0};
-  struct SearchGet {
-    std::shared_ptr<const core::ComputeProjection> surrogate;
-    service::ArtifactSource source = service::ArtifactSource::kComputed;
-    std::string label;
-  };
-  std::vector<SearchGet> search_gets;
-  {
-    SWAPP_SPAN("sweep.searches");
-    search_gets = parallel_map(
-        report.plan.searches, [&](const SweepPlan::Search& s) {
-          const SpecGet& lib = spec_gets[s.compute_class];
-          const std::string& rep_name = spec_reps[s.compute_class].name;
-          SWAPP_REQUIRE(lib.lib->targets.count(rep_name) != 0,
-                        "collected library has no target: " + rep_name);
-          const int demand = s.search_ck * spec.threads;
-          const int base_occ = core::SpecLibrary::occupancy_for(
-              demand, base_.cores_per_node);
-          const int target_occ = core::SpecLibrary::occupancy_for(
-              demand, lib.lib->targets.at(rep_name).cores_per_node);
-          const std::shared_ptr<const core::SpecIndex> index =
-              cache_->spec_index(
-                  lib.lib_key +
-                      core::SpecIndex::key_of(rep_name, base_occ, target_occ),
-                  [&] {
-                    return core::SpecIndex::build(*lib.lib, rep_name, base_occ,
-                                                  target_occ);
-                  });
-
-          // The surrogate key carries everything the search consumed: the
-          // library's full input description, the app's identity, and the
-          // search shape (see ArtifactCache::surrogate_projection).
-          std::ostringstream key;
-          key << lib.lib_key << app_material;
-          {
-            io::RecordWriter w(key, "swapp-search-inputs", 1);
-            w.row("search")
-                .field(rep_name)
-                .field(s.search_ck)
-                .field(spec.threads)
-                .field(core::compute_options_key(spec.options.compute));
-          }
-          SearchGet got;
-          std::ostringstream label;
-          label << "surrogate (" << spec.app << " @ " << rep_name << " / "
-                << s.search_ck << ")";
-          got.label = label.str();
-          got.surrogate = cache_->surrogate_projection(
-              key.str(),
-              [&] {
-                searches_run.fetch_add(1, std::memory_order_relaxed);
-                return core::project_compute(*app, *index, base_, rep_name,
-                                             s.search_ck,
-                                             spec.options.compute);
-              },
-              &got.source);
-          return got;
-        });
+  std::vector<SearchJob> search_jobs;
+  for (const SweepPlan::Search& s : report.plan.searches) {
+    search_jobs.push_back(SearchJob{
+        &libraries[s.compute_class], &app, spec.app,
+        library_jobs[s.compute_class].targets.front().name, s.search_ck,
+        spec.threads, spec.options.compute});
   }
-  for (const SearchGet& got : search_gets) {
-    report.artifacts.push_back(ArtifactNote{got.label, got.source});
-  }
-  report.searches_run = searches_run.load(std::memory_order_relaxed);
+  const std::vector<std::shared_ptr<const core::ComputeProjection>>
+      surrogates = run.searches(search_jobs);
   SWAPP_COUNT("sweep.searches_run", report.searches_run);
 
   {
     SWAPP_SPAN("sweep.project_points");
     report.results = parallel_map(
         report.points, [&](const SweepPoint& point) {
-          const SweepPlan::Search& search =
-              report.plan.searches[report.plan.search_of[point.index]];
-          const core::ComputeProjection& surrogate =
-              *search_gets[report.plan.search_of[point.index]].surrogate;
-
-          core::ProjectionResult out;
-          out.app = app->app;
-          out.target = point.machine.name;
-          out.cores = point.tasks;
-          out.compute =
-              point.tasks == search.search_ck
-                  ? surrogate
-                  : core::rescale_reference(surrogate, *app, search.search_ck,
-                                            point.tasks);
-          const imb::ImbDatabase& target_db =
-              *imb_gets[report.plan.comm_class_of[point.index] + 1].db;
-          out.comm = core::project_communication(
-              app->profile_at(point.tasks), point.tasks, *imb_gets[0].db,
-              target_db, out.compute.compute_scale(), spec.options.comm);
-          return out;
+          const std::size_t s = report.plan.search_of[point.index];
+          return service::project_from_surrogate(
+              *app.data, point.machine.name, point.tasks,
+              report.plan.searches[s].search_ck, *surrogates[s], *imb.front(),
+              *imb[report.plan.comm_class_of[point.index] + 1], spec.options);
         });
   }
   if (on_point) {
@@ -335,15 +143,9 @@ SweepRunner::SweepReport SweepRunner::run(const SweepSpec& spec,
       on_point(report.points[i], report.results[i]);
     }
   }
-  end_phase("projection");
+  run.end_phase("projection");
 
-  report.cache = cache_->stats();
-  if (obs::metrics_enabled()) {
-    for (const PhaseTime& p : report.phases) {
-      obs::Gauge("sweep.phase_s." + p.phase).set(p.seconds);
-      obs::Histogram("sweep.phase_us." + p.phase).observe(p.seconds * 1e6);
-    }
-  }
+  run.finish();
   return report;
 }
 

@@ -1,24 +1,21 @@
-// Sweep executor: drives a planned sweep through the artifact cache and the
-// core projection APIs, materialising each equivalence class of the plan
-// exactly once.
-//
-// The runner deliberately bypasses `Projector::project_many`: a sweep's
-// points name *different machines*, and the batched engine shares work only
-// within one machine name.  Instead the runner exploits the planner's side
-// classification directly —
+// Sweep executor: drives a planned sweep through the artifact resolver
+// (service/resolver.h, shared with the batch service) and the core
+// projection APIs, materialising each equivalence class of the plan exactly
+// once.  A sweep's points name *different machines*, so the runner works
+// from the planner's side classification —
 //
 //   * per compute class it collects one SPEC library for a canonical
 //     "spec representative" (the class's machine with its comm-side fields
 //     reset to the original target's, so the artifact key is independent of
 //     which member happened to come first);
 //   * per (compute class, search count) it runs one GA surrogate search,
-//     cached persistently, and every member point either reuses the
-//     surrogate as-is or rides `core::rescale_reference` — the exact rescale
-//     `Projector::project` applies, so identity points are byte-identical to
-//     a direct projection;
+//     cached persistently, and every member point is built by
+//     `service::project_from_surrogate` — the search's surrogate as-is or
+//     `core::rescale_reference`d, the exact rescale `Projector::project`
+//     applies, so identity points are byte-identical to a direct projection;
 //   * per comm class it acquires one IMB database for a "comm
-//     representative" (compute-side fields reset), feeding
-//     `core::project_communication` per point.
+//     representative" (compute-side fields reset), feeding the point's
+//     communication projection.
 //
 // Classes whose side configuration equals the unmodified target keep its
 // machine name, so their artifacts are the very same cache entries an
@@ -26,87 +23,51 @@
 #pragma once
 
 #include <cstddef>
-#include <filesystem>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/projector.h"
 #include "machine/machine.h"
-#include "service/artifact_cache.h"
-#include "service/service.h"
+#include "service/resolver.h"
 #include "sweep/planner.h"
 #include "sweep/result.h"
 #include "sweep/sweep.h"
 
 namespace swapp::sweep {
 
-struct SweepConfig {
-  /// Artifact cache directory; empty keeps the cache in memory only.
-  std::filesystem::path cache_dir;
-  std::size_t cache_capacity = 16;
-  std::uintmax_t cache_dir_max_bytes = 0;
-  /// When set, record into this cache instead of owning one (the server's
-  /// resident cache; the cache_* fields above are then ignored).
-  std::shared_ptr<service::ArtifactCache> shared_cache;
+struct SweepConfig : service::CacheConfig {
   /// Hard cap on the expanded point count; `run` throws InvalidArgument
   /// beyond it (a typo'd range axis should fail fast, not enumerate 10^9
   /// machines).
   std::size_t max_points = 4096;
 };
 
-class SweepRunner {
+/// Collectors and apps register through the `ArtifactResolver` base, the
+/// same surface `ProjectionService` exposes.  The spec collector is called
+/// once per compute class with that class's representative as the only
+/// target — representatives carry variant names, so it must honour the
+/// machine *configuration* it receives.
+class SweepRunner : public service::ArtifactResolver {
  public:
-  using SpecCollector = service::ProjectionService::SpecCollector;
-  using ImbCollector = service::ProjectionService::ImbCollector;
-  using AppCollector = service::ProjectionService::AppCollector;
-  using ArtifactNote = service::ProjectionService::ArtifactNote;
-  using PhaseTime = service::ProjectionService::PhaseTime;
-
   /// `targets` are the machines sweeps may perturb (a spec's `target` must
   /// name one of them).
   SweepRunner(machine::Machine base, std::vector<machine::Machine> targets,
               SweepConfig config = {});
 
-  /// Collector for SPEC-style libraries; must be set before `run`.  Called
-  /// once per compute class with that class's representative as the only
-  /// target — representatives carry variant names, so the collector must
-  /// honour the machine *configuration* it receives, not look anything up by
-  /// name.
-  void set_spec_collector(SpecCollector collect);
-  /// Collector for per-machine IMB databases; defaults to
-  /// `imb::measure_database`.
-  void set_imb_collector(ImbCollector collect);
-
-  /// App registration, mirroring ProjectionService.
-  void add_app(const std::string& name, std::string canonical_inputs,
-               AppCollector collect);
-  void add_app_file(const std::string& name,
-                    const std::filesystem::path& path);
-  bool has_app(const std::string& name) const;
-
   /// Streamed per point as its projection is finalised, in index order.
   using PointCallback = std::function<void(const SweepPoint& point,
                                            const core::ProjectionResult&)>;
 
-  struct SweepReport {
+  /// Phases in execution order: plan, spec-libraries, imb-databases,
+  /// app-profile, projection.
+  struct SweepReport : service::RunReport {
     std::vector<SweepPoint> points;
     SweepPlan plan;
     /// results[i] corresponds to points[i]; `target` carries the variant
     /// machine name.
     std::vector<core::ProjectionResult> results;
-    std::vector<ArtifactNote> artifacts;  ///< acquisition order
-    service::CacheStats cache;            ///< cumulative cache counters
-    /// Execution order: plan, spec-libraries, imb-databases, app-profile,
-    /// projection.
-    std::vector<PhaseTime> phases;
-    /// GA surrogate searches actually executed this run (cache hits — memory
-    /// or disk — do not count; a warm sweep reports 0).
-    std::size_t searches_run = 0;
-    /// True iff every artifact came from the memory or disk tier.
-    bool warm() const;
   };
 
   /// Expands, plans, acquires class artifacts, projects every point.
@@ -115,24 +76,9 @@ class SweepRunner {
   /// apps/targets and InvalidArgument for invalid specs.
   SweepReport run(const SweepSpec& spec, const PointCallback& on_point = {});
 
-  service::ArtifactCache& cache() noexcept { return *cache_; }
-  const machine::Machine& base() const noexcept { return base_; }
-
  private:
-  struct AppEntry {
-    std::string canonical;
-    AppCollector collect;
-    std::shared_ptr<const core::AppBaseData> fixed;  ///< file-backed apps
-  };
-
-  machine::Machine base_;
-  std::vector<machine::Machine> targets_;
   std::map<std::string, machine::Machine> targets_by_name_;
-  SweepConfig config_;
-  std::shared_ptr<service::ArtifactCache> cache_;
-  SpecCollector collect_spec_;
-  ImbCollector collect_imb_;
-  std::map<std::string, AppEntry> apps_;
+  std::size_t max_points_;
 };
 
 /// Assembles the machine-readable result document from a finished run.

@@ -7,6 +7,7 @@
 #include "machine/machine.h"
 #include "mpi/collectives.h"
 #include "mpi/world.h"
+#include "obs/metrics.h"
 #include "support/error.h"
 
 namespace swapp::mpi {
@@ -28,6 +29,41 @@ TEST(MpiWorld, PingPongCompletesAndTakesTime) {
   EXPECT_GT(world.wall_time(), 0.0);
   // Two eager messages within a node: microseconds, not milliseconds.
   EXPECT_LT(world.wall_time(), 1e-3);
+}
+
+TEST(MpiWorld, RunRecordsDispatchedMessages) {
+  // Three round trips: two eager messages each, then one rendezvous
+  // exchange above the eager threshold — eight messages on the wire.
+  obs::reset_metrics();
+  obs::set_metrics_enabled(true);
+  World world(test_machine(), 2);
+  const Bytes large = test_machine().mpi.eager_threshold * 4;
+  world.run([large](RankCtx& ctx) {
+    const int peer = 1 - ctx.rank();
+    for (int i = 0; i < 3; ++i) {
+      if (ctx.rank() == 0) {
+        ctx.send(peer, 1024);
+        ctx.recv(peer, 1024);
+      } else {
+        ctx.recv(peer, 1024);
+        ctx.send(peer, 1024);
+      }
+    }
+    if (ctx.rank() == 0) {
+      ctx.send(peer, large);
+      ctx.recv(peer, large);
+    } else {
+      ctx.recv(peer, large);
+      ctx.send(peer, large);
+    }
+  });
+  obs::set_metrics_enabled(false);
+  const obs::MetricsSnapshot snap = obs::metrics_snapshot();
+  obs::reset_metrics();
+  EXPECT_EQ(world.messages_dispatched(), 8u);
+  const obs::CounterValue* messages = snap.counter("mpi.messages");
+  ASSERT_NE(messages, nullptr);
+  EXPECT_EQ(messages->value, 8u);
 }
 
 TEST(MpiWorld, MessageOrderIsFifoPerSourceAndTag) {

@@ -1,9 +1,14 @@
 // Tests for the batch projection service: project_many vs sequential
 // byte-identity (at several thread counts, with and without a shared
 // surrogate search), the content-addressed artifact cache (round-trip,
-// corruption fallback, eviction), and the request planner's dedup.
+// corruption fallback, eviction), the request planner's dedup, and the
+// artifact resolver (warm replay of searches, surrogate-key completeness,
+// span coverage of a run).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -15,10 +20,13 @@
 #include "core/projector.h"
 #include "experiments/lab.h"
 #include "imb/suite.h"
+#include "io/persist.h"
 #include "machine/machine.h"
 #include "nas/nas_app.h"
+#include "obs/trace.h"
 #include "service/artifact_cache.h"
 #include "service/planner.h"
+#include "service/resolver.h"
 #include "service/service.h"
 #include "support/error.h"
 #include "support/parallel.h"
@@ -165,8 +173,262 @@ TEST_F(ServiceTest, SharedSurrogateReferenceCountIsUnscaled) {
   expect_identical(with_ref, without);
 }
 
+/// Every number a projection result carries, in `%a` hex, so two results
+/// compare bit for bit and a mismatch prints both.
+std::string hex_digest(const core::ProjectionResult& r) {
+  std::string out = r.app + "|" + r.target + "|" + std::to_string(r.cores);
+  char buf[64];
+  const auto add = [&](double v) {
+    std::snprintf(buf, sizeof buf, " %a", v);
+    out += buf;
+  };
+  for (const double v :
+       {r.compute.target_compute, r.compute.base_compute, r.compute.gamma,
+        r.compute.hyper_scaling_cores, r.compute.surrogate.fitness,
+        r.comm.base_total(), r.comm.target_total(), r.total_target()}) {
+    add(v);
+  }
+  for (const core::SurrogateTerm& t : r.compute.surrogate.terms) {
+    out += " " + t.benchmark;
+    add(t.weight);
+  }
+  return out;
+}
+
+/// Resolver and warm-replay tests: a cache directory per test and a GA
+/// shrunk so each search takes milliseconds.
+class ResolverTest : public ServiceTest {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("swapp-resolver-test-" + std::to_string(::getpid()) + "-" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    quick_.compute.ga.population = 24;
+    quick_.compute.ga.generations = 40;
+    quick_.compute.ga.restarts = 2;
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  /// Small-grid collectors; the LU/C collector hands out the fixture's
+  /// profile (or simulates it afresh when `simulate` is set).
+  static void configure(service::ArtifactResolver& engine,
+                        bool simulate = false) {
+    engine.set_spec_collector(&collect_spec_library);
+    engine.set_imb_collector([](const machine::Machine& m) {
+      return imb::measure_database(m, kCounts, kSizes);
+    });
+    engine.add_app("LU/C",
+                   service::describe_app_inputs("LU-MZ.C", *base_, 1,
+                                                {4, 8, 16}, {4, 8, 16}),
+                   [simulate] {
+                     if (!simulate) return *lu_data_;
+                     const nas::NasApp lu(nas::Benchmark::kLU,
+                                          nas::ProblemClass::kC);
+                     return collect_base_data(lu, *base_, {4, 8, 16},
+                                              {4, 8, 16});
+                   });
+  }
+
+  std::filesystem::path dir_;
+  core::ProjectionOptions quick_;
+};
+
+TEST_F(ResolverTest, WarmBatchReplaysEverySearchBitIdentically) {
+  ThreadCountGuard guard;
+  const std::filesystem::path app_file = dir_ / "lu.app";
+  io::save_app_data(app_file, *lu_data_);
+  core::ProjectionOptions shared = quick_;
+  shared.compute.surrogate_reference_cores = 16;
+  const std::vector<service::ServiceRequest> requests = {
+      {"LU/C", target_->name, 8, 1, quick_},     // searched at its own count
+      {"LU/C", target_->name, 4, 1, shared},     // a reference group ...
+      {"LU/C", target_->name, 16, 1, shared},    // ... sharing one search
+      {"file:lu", target_->name, 8, 1, quick_},  // content-addressed app
+  };
+  const auto make_service = [&](const std::filesystem::path& cache) {
+    service::ServiceConfig config;
+    config.cache_dir = cache;
+    auto svc = std::make_unique<service::ProjectionService>(
+        *base_, std::vector<machine::Machine>{*target_}, config);
+    configure(*svc);
+    svc->add_app_file("file:lu", app_file);
+    return svc;
+  };
+
+  std::vector<std::string> first_digests;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("SWAPP_THREADS " + std::to_string(threads));
+    set_thread_count(threads);
+    const std::filesystem::path cache =
+        dir_ / ("cache-" + std::to_string(threads));
+    const auto cold = make_service(cache);
+    const auto cold_report = cold->run(requests);
+    ASSERT_EQ(cold_report.plan.searches.size(), 3u);
+    EXPECT_EQ(cold_report.searches_run, 3u);
+
+    // A fresh service over the same directory: every input and every
+    // search comes from disk.
+    const auto warm = make_service(cache);
+    const auto warm_report = warm->run(requests);
+    EXPECT_EQ(warm_report.searches_run, 0u);
+    EXPECT_EQ(warm_report.cache.misses, 0u);
+    EXPECT_TRUE(warm_report.warm());
+    std::size_t surrogate_notes = 0;
+    for (const auto& note : warm_report.artifacts) {
+      if (note.name.rfind("surrogate (", 0) != 0) continue;
+      ++surrogate_notes;
+      EXPECT_EQ(note.source, service::ArtifactSource::kDisk) << note.name;
+    }
+    EXPECT_EQ(surrogate_notes, 3u);
+
+    ASSERT_EQ(warm_report.results.size(), requests.size());
+    std::vector<std::string> digests;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      digests.push_back(hex_digest(cold_report.results[i]));
+      EXPECT_EQ(hex_digest(warm_report.results[i]), digests.back());
+    }
+    // The file-backed copy of the profile searches under its own key but
+    // lands on the same surrogate.
+    EXPECT_EQ(digests[3], digests[0]);
+
+    if (first_digests.empty()) {
+      first_digests = digests;
+      // The same artifacts through Projector::project give the same bits.
+      const auto fail_spec = []() -> core::SpecLibrary {
+        ADD_FAILURE() << "spec library recomputed";
+        return {};
+      };
+      const auto fail_imb = []() -> imb::ImbDatabase {
+        ADD_FAILURE() << "IMB database recomputed";
+        return {};
+      };
+      const auto imb_key = [](const machine::Machine& m) {
+        return service::describe_imb_inputs(m, imb::default_core_counts(),
+                                            imb::default_message_sizes());
+      };
+      const auto lib = cold->cache().spec_library(
+          service::describe_spec_inputs(*base_, {*target_},
+                                        cold_report.plan.task_counts),
+          fail_spec);
+      core::Projector projector(
+          *base_, *lib, *cold->cache().imb_database(imb_key(*base_), fail_imb));
+      projector.add_target(
+          target_->name,
+          *cold->cache().imb_database(imb_key(*target_), fail_imb));
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        EXPECT_EQ(hex_digest(projector.project(*lu_data_, requests[i].target,
+                                               requests[i].cores,
+                                               requests[i].options)),
+                  digests[i]);
+      }
+    } else {
+      EXPECT_EQ(digests, first_digests);
+    }
+  }
+}
+
+TEST_F(ResolverTest, ChangingAnySearchKeyInputRerunsTheSearch) {
+  const machine::Machine other = machine::make_bluegene_p();
+  service::CacheConfig config;
+  config.cache_dir = dir_ / "cache";
+  const service::ResolverNames names{"test", "test.spec", "test.imb",
+                                     "test.apps", "test.searches"};
+  using Resolver = service::ArtifactResolver;
+
+  std::vector<Resolver::Library> libraries;
+  {
+    Resolver resolver(*base_, config);
+    configure(resolver);
+    service::RunReport report;
+    Resolver::Run run(resolver, names, report);
+    libraries = run.spec_libraries({{{*target_, other}, "grid"}}, {4, 8, 16});
+    const auto wider =
+        run.spec_libraries({{{*target_, other}, "wider"}}, {4, 8, 16, 32});
+    libraries.push_back(wider.front());
+  }
+  const auto data = std::make_shared<const core::AppBaseData>(*lu_data_);
+  const Resolver::App app{"lu-inputs", data};
+  const Resolver::App renamed{"lu-inputs-v2", data};
+
+  // Each lookup runs in a fresh resolver over the directory, the way a
+  // later process would, and reports how many searches it had to run.
+  const auto searches_for = [&](const Resolver::SearchJob& job) {
+    Resolver resolver(*base_, config);
+    service::RunReport report;
+    Resolver::Run run(resolver, names, report);
+    run.searches({job});
+    return report.searches_run;
+  };
+  const Resolver::SearchJob base_job{&libraries[0], &app,  "LU/C",
+                                     target_->name, 8,     1,
+                                     quick_.compute};
+  EXPECT_EQ(searches_for(base_job), 1u);
+  EXPECT_EQ(searches_for(base_job), 0u);
+
+  std::vector<std::pair<std::string, Resolver::SearchJob>> variants;
+  variants.emplace_back("GA seed", base_job);
+  variants.back().second.options.ga.seed += 1;
+  variants.emplace_back("spec task-count grid", base_job);
+  variants.back().second.library = &libraries[1];
+  variants.emplace_back("target", base_job);
+  variants.back().second.target = other.name;
+  variants.emplace_back("threads", base_job);
+  variants.back().second.threads = 2;
+  variants.emplace_back("app canonical inputs", base_job);
+  variants.back().second.app = &renamed;
+  for (const auto& [input, job] : variants) {
+    SCOPED_TRACE("changed: " + input);
+    EXPECT_EQ(searches_for(job), 1u);
+    EXPECT_EQ(searches_for(job), 0u);  // and the new key replays in turn
+  }
+}
+
+TEST_F(ResolverTest, ServiceRunSpansCoverItsDuration) {
+  // A cold run whose collectors do real work (simulated profiling, SPEC
+  // and IMB collection): every acquisition and search sits under a named
+  // direct child of service.run.
+  service::ProjectionService svc(*base_, {*target_}, {});
+  configure(svc, /*simulate=*/true);
+  obs::drain_trace();
+  obs::set_tracing_enabled(true);
+  svc.run({{"LU/C", target_->name, 8, 1, quick_},
+           {"LU/C", target_->name, 16, 1, quick_}});
+  obs::set_tracing_enabled(false);
+  const std::vector<obs::TraceEvent> events = obs::drain_trace();
+
+  const obs::TraceEvent* root = nullptr;
+  for (const obs::TraceEvent& e : events) {
+    if (e.kind == obs::TraceEvent::Kind::kSpan && e.name == "service.run") {
+      root = &e;
+    }
+  }
+  ASSERT_NE(root, nullptr);
+  std::vector<std::pair<double, double>> children;
+  for (const obs::TraceEvent& e : events) {
+    if (e.kind != obs::TraceEvent::Kind::kSpan || e.parent != root->id) {
+      continue;
+    }
+    EXPECT_TRUE(e.name.rfind("service.", 0) == 0 ||
+                e.name.rfind("planner.", 0) == 0)
+        << e.name;
+    children.emplace_back(e.start_us, e.start_us + e.dur_us);
+  }
+  std::sort(children.begin(), children.end());
+  double covered = 0.0;
+  double reach = root->start_us;
+  for (const auto& [lo, hi] : children) {
+    if (hi <= reach) continue;
+    covered += hi - std::max(lo, reach);
+    reach = hi;
+  }
+  ASSERT_GT(root->dur_us, 0.0);
+  EXPECT_GE(covered / root->dur_us, 0.95)
+      << "service.run " << root->dur_us << " us, children cover " << covered;
+}
+
 TEST(PlannerTest, DedupsSharedArtifacts) {
-  const machine::Machine base = machine::make_power5_hydra();
   const machine::Machine target = machine::make_power6_575();
   std::map<std::string, machine::Machine> targets = {{target.name, target}};
 
@@ -181,26 +443,33 @@ TEST(PlannerTest, DedupsSharedArtifacts) {
   }
   requests.push_back(service::ServiceRequest{"LU/C", target.name, 8, 1, {}});
 
-  const service::BatchPlan plan = service::plan_batch(requests, base, targets);
+  const service::BatchPlan plan = service::plan_batch(requests, targets);
   EXPECT_EQ(plan.requests, 7u);
   EXPECT_EQ(plan.apps, (std::vector<std::string>{"LU/C", "BT/C"}));
   EXPECT_EQ(plan.targets, (std::vector<std::string>{target.name}));
   EXPECT_EQ(plan.task_counts, (std::vector<int>{4, 8, 16}));
-  // All six shared-search requests probe at 16 tasks: one occupancy pair,
-  // hence one spec index for them; the unshared request at 8 tasks adds a
-  // second.  Two apps -> two shared searches; plus the one unshared search.
-  EXPECT_EQ(plan.artifact_count("spec-index"), 2u);
-  EXPECT_EQ(plan.artifact_count("surrogate-search"), 2u);
-  EXPECT_EQ(plan.searches, 3u);
+  // All six shared-search requests search at 16 tasks: one search per app,
+  // each serving three requests; the unshared request at 8 tasks adds a
+  // third search of its own.
+  ASSERT_EQ(plan.searches.size(), 3u);
+  EXPECT_EQ(plan.searches[0].app, "LU/C");
+  EXPECT_EQ(plan.searches[0].search_ck, 16);
+  EXPECT_EQ(plan.searches[0].uses, 3u);
+  EXPECT_EQ(plan.searches[1].app, "BT/C");
+  EXPECT_EQ(plan.searches[1].search_ck, 16);
+  EXPECT_EQ(plan.searches[1].uses, 3u);
+  EXPECT_EQ(plan.searches[2].app, "LU/C");
+  EXPECT_EQ(plan.searches[2].search_ck, 8);
+  EXPECT_EQ(plan.searches[2].uses, 1u);
+  EXPECT_EQ(plan.search_of,
+            (std::vector<std::size_t>{0, 1, 0, 1, 0, 1, 2}));
   EXPECT_EQ(plan.naive_searches, 7u);
-  EXPECT_NE(plan.describe().find("7 request(s)"), std::string::npos);
 }
 
 TEST(PlannerTest, UnknownTargetThrows) {
-  const machine::Machine base = machine::make_power5_hydra();
   EXPECT_THROW(
       service::plan_batch({service::ServiceRequest{"LU/C", "Cray XT5", 8}},
-                          base, {}),
+                          {}),
       NotFound);
 }
 
@@ -217,12 +486,29 @@ class CacheTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
+  /// Installs a fake clock on `cache` and returns a maker of (memory-tier)
+  /// surrogates tagged `id` whose computation advances the clock by exactly
+  /// `cost_ms`, so every entry's observed cost — the input of the eviction
+  /// policy — is the one the test names, however loaded the host is.
+  auto costed_maker(service::ArtifactCache& cache) {
+    cache.debug_set_clock([this] { return clock_us_; });
+    return [this](int id, int cost_ms) {
+      return [this, id, cost_ms] {
+        clock_us_ += cost_ms * 1000.0;
+        core::ComputeProjection surrogate;
+        surrogate.target_compute = id;
+        return surrogate;
+      };
+    };
+  }
+
   static imb::ImbDatabase small_db() {
     return imb::measure_database(machine::make_power5_hydra(), {8, 16},
                                  {512, 16_KiB});
   }
 
   std::filesystem::path dir_;
+  double clock_us_ = 0.0;
 };
 
 TEST_F(CacheTest, RoundTripAcrossCacheInstances) {
@@ -292,61 +578,40 @@ TEST_F(CacheTest, CorruptedFileIsRejectedAndRecomputed) {
 
 TEST_F(CacheTest, EvictionKeepsLiveReferencesValid) {
   service::ArtifactCache cache({}, /*capacity_per_kind=*/2);
-  // `sleep_ms` controls the observed recompute cost, which drives the
-  // eviction policy: "a" is made unambiguously the cheapest entry, so it is
-  // the victim when "c" overflows the tier.
-  const auto make = [](int occ, int sleep_ms) {
-    return [occ, sleep_ms] {
-      if (sleep_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-      }
-      core::SpecIndex index;
-      index.target_machine = "t";
-      index.base_occupancy = occ;
-      index.target_occupancy = occ;
-      return index;
-    };
-  };
-  const auto first = cache.spec_index("a", make(1, 0));
-  cache.spec_index("b", make(2, 20));
-  cache.spec_index("c", make(3, 20));  // evicts the cheapest entry ("a")
+  // The observed recompute cost drives the eviction policy: "a" is made
+  // unambiguously the cheapest entry, so it is the victim when "c"
+  // overflows the tier.
+  const auto make = costed_maker(cache);
+  const auto first = cache.surrogate_projection("a", make(1, 0));
+  cache.surrogate_projection("b", make(2, 20));
+  // Evicts the cheapest entry ("a").
+  cache.surrogate_projection("c", make(3, 20));
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(first->base_occupancy, 1);  // held reference survives eviction
+  EXPECT_EQ(first->target_compute, 1.0);  // held reference survives eviction
 
   // "a" is gone from the memory tier: a fresh request recomputes.
   service::ArtifactSource source = service::ArtifactSource::kMemory;
-  cache.spec_index("a", make(1, 0), &source);
+  cache.surrogate_projection("a", make(1, 0), &source);
   EXPECT_EQ(source, service::ArtifactSource::kComputed);
 }
 
 TEST_F(CacheTest, CostAwareEvictionSparesExpensiveEntries) {
   service::ArtifactCache cache({}, /*capacity_per_kind=*/2);
-  const auto make = [](int occ, int sleep_ms) {
-    return [occ, sleep_ms] {
-      if (sleep_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-      }
-      core::SpecIndex index;
-      index.target_machine = "t";
-      index.base_occupancy = occ;
-      index.target_occupancy = occ;
-      return index;
-    };
-  };
+  const auto make = costed_maker(cache);
   // "slow" is the oldest entry — the one plain LRU would evict — but it is
   // orders of magnitude costlier to recompute than the quick entries, so
   // the cost-aware policy sacrifices the cheapest entry "quick-1" instead
-  // ("quick-2" sleeps just long enough to dominate quick-1's cost).
-  cache.spec_index("slow", make(1, 25));
-  cache.spec_index("quick-1", make(2, 0));
-  cache.spec_index("quick-2", make(3, 5));
+  // ("quick-2" costs just enough to dominate quick-1).
+  cache.surrogate_projection("slow", make(1, 25));
+  cache.surrogate_projection("quick-1", make(2, 0));
+  cache.surrogate_projection("quick-2", make(3, 5));
   EXPECT_EQ(cache.stats().evictions, 1u);
 
   service::ArtifactSource source = service::ArtifactSource::kComputed;
-  cache.spec_index("slow", make(1, 25), &source);
+  cache.surrogate_projection("slow", make(1, 25), &source);
   EXPECT_EQ(source, service::ArtifactSource::kMemory);  // survived
   source = service::ArtifactSource::kMemory;
-  cache.spec_index("quick-1", make(2, 0), &source);
+  cache.surrogate_projection("quick-1", make(2, 0), &source);
   EXPECT_EQ(source, service::ArtifactSource::kComputed);  // was the victim
 }
 
@@ -435,53 +700,44 @@ TEST_F(CacheTest, ConcurrentCachesComputeAPersistentArtifactOnce) {
 }
 
 TEST_F(CacheTest, AgeDecayRetiresStaleExpensiveEntries) {
-  const auto make = [](int occ, int sleep_ms) {
-    return [occ, sleep_ms] {
-      if (sleep_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-      }
-      core::SpecIndex index;
-      index.target_machine = "t";
-      index.base_occupancy = occ;
-      index.target_occupancy = occ;
-      return index;
-    };
-  };
   // With a short half-life, an expensive entry left untouched for many
   // half-lives decays below a fresh cheap entry's score, so it is the
   // eviction victim — a long-lived daemon cannot pin a once-expensive
   // artifact forever.
   {
     service::ArtifactCache cache({}, /*capacity_per_kind=*/2);
+    const auto make = costed_maker(cache);
     cache.set_eviction_half_life(1.0);
-    cache.spec_index("slow", make(1, 25));
+    cache.surrogate_projection("slow", make(1, 25));
     cache.debug_age_entries(60.0);  // 60 half-lives: score ~ 0
-    cache.spec_index("quick-1", make(2, 5));
-    cache.spec_index("quick-2", make(3, 10));  // overflow: evict "slow"
+    cache.surrogate_projection("quick-1", make(2, 5));
+    // Overflow: evict "slow".
+    cache.surrogate_projection("quick-2", make(3, 10));
     EXPECT_EQ(cache.stats().evictions, 1u);
 
     service::ArtifactSource source = service::ArtifactSource::kMemory;
-    cache.spec_index("slow", make(1, 25), &source);
+    cache.surrogate_projection("slow", make(1, 25), &source);
     EXPECT_EQ(source, service::ArtifactSource::kComputed);  // was the victim
     // Recomputing "slow" overflowed again and took the cheapest fresh entry;
     // the dearer of the two quick entries is still resident.
     source = service::ArtifactSource::kComputed;
-    cache.spec_index("quick-2", make(3, 10), &source);
+    cache.surrogate_projection("quick-2", make(3, 10), &source);
     EXPECT_EQ(source, service::ArtifactSource::kMemory);
   }
   // Half-life 0 disables decay: the same sequence spares the expensive
   // entry however stale it is (pure cost-aware eviction).
   {
     service::ArtifactCache cache({}, /*capacity_per_kind=*/2);
+    const auto make = costed_maker(cache);
     cache.set_eviction_half_life(0.0);
-    cache.spec_index("slow", make(1, 25));
+    cache.surrogate_projection("slow", make(1, 25));
     cache.debug_age_entries(60.0);
-    cache.spec_index("quick-1", make(2, 5));
-    cache.spec_index("quick-2", make(3, 10));
+    cache.surrogate_projection("quick-1", make(2, 5));
+    cache.surrogate_projection("quick-2", make(3, 10));
     EXPECT_EQ(cache.stats().evictions, 1u);
 
     service::ArtifactSource source = service::ArtifactSource::kComputed;
-    cache.spec_index("slow", make(1, 25), &source);
+    cache.surrogate_projection("slow", make(1, 25), &source);
     EXPECT_EQ(source, service::ArtifactSource::kMemory);  // pinned by cost
   }
 }
@@ -524,7 +780,7 @@ TEST_F(CacheTest, CoalescedRunMatchesIndependentRunsAndSharesSearches) {
   ASSERT_EQ(coalesced.combined.results.size(), 3u);
   // One shared surrogate search covers all three requests; run separately
   // the two batches would have searched twice (once each).
-  EXPECT_EQ(coalesced.combined.plan.searches, 1u);
+  EXPECT_EQ(coalesced.combined.plan.searches.size(), 1u);
   EXPECT_EQ(coalesced.combined.plan.naive_searches, 3u);
 
   // Each slice is byte-identical to running that batch on its own service.

@@ -80,6 +80,29 @@ assert warm.get("cache.misses", 0) == 0, f"warm run should not miss: {warm}"
 assert warm.get("cache.disk_hits", 0) >= 4, f"warm run should hit disk: {warm}"
 print(f"metrics ok: cold misses={cold['cache.misses']}, "
       f"warm disk hits={warm['cache.disk_hits']}")
+# GA searches are cached artifacts too: the warm rerun replays them.
+assert cold.get("ga.searches", 0) >= 1, f"cold run should search: {cold}"
+assert warm.get("ga.searches", 0) == 0, f"warm run should not search: {warm}"
+EOF
+
+echo "== batch: warm result document replays every planned search from disk =="
+"${SWAPP}" batch --requests "${WORK}/batch.req" --cache-dir "${CACHE}" \
+  --metrics "${WORK}/warm2.metrics" --out "${WORK}/warm.doc" \
+  > "${WORK}/warm2.out" 2> /dev/null
+diff -u "${WORK}/cold.out" "${WORK}/warm2.out"
+python3 - "${WORK}/warm.doc" "${WORK}/warm2.metrics" <<'EOF'
+import json, shlex, sys
+rows = [shlex.split(line) for line in open(sys.argv[1])
+        if line.startswith('artifact "surrogate (')]
+planned = 0
+for line in open(sys.argv[2]):
+    m = json.loads(line)
+    if m["type"] == "counter" and m["name"] == "planner.searches":
+        planned = m["value"]
+assert planned >= 1, "no planned searches in the warm metrics"
+assert len(rows) == planned, f"{len(rows)} surrogate rows, {planned} planned"
+assert all(r[2] == "disk cache" for r in rows), f"not all from disk: {rows}"
+print(f"document ok: {len(rows)} surrogate row(s) from disk")
 EOF
 
 echo "== stats: snapshot pretty-prints and filters =="
@@ -144,6 +167,13 @@ diff -u "${WORK}/cold.out" "${WORK}/served-warm.out"
 # (phase timings legitimately differ between runs).
 diff -u <(grep '^result ' "${WORK}/cold.doc") \
         <(grep '^result ' "${WORK}/served.doc")
+# The second identical request runs no GA search: every surrogate it lists
+# comes from the daemon's cache.
+grep -q '^artifact "surrogate (' "${WORK}/served.doc"
+if grep '^artifact "surrogate (' "${WORK}/served.doc" | grep -q '"computed"$'; then
+  echo "second served request ran a GA search" >&2
+  exit 1
+fi
 
 echo "== serve: sweeps ride the same socket and match the local run =="
 "${SWAPP}" sweep --spec "${WORK}/sweep.spec" --socket "${SOCK}" \
