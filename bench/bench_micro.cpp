@@ -312,65 +312,6 @@ void BM_LabFigure(benchmark::State& state) {
 }
 BENCHMARK(BM_LabFigure)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
-/// Projector + LU profile on reduced grids, shared by BM_ProjectMany (built
-/// once, outside any timed section).
-const core::Projector& batch_projector() {
-  static const core::Projector* p = [] {
-    const machine::Machine base = machine::make_power5_hydra();
-    const machine::Machine target = machine::make_power6_575();
-    const std::vector<int> counts = {8, 16, 32};
-    const std::vector<Bytes> sizes = {512, 16_KiB, 256_KiB};
-    auto spec = experiments::collect_spec_library(base, {target}, counts);
-    auto* proj = new core::Projector(base, spec,
-                                     imb::measure_database(base, counts, sizes));
-    proj->add_target(target.name,
-                     imb::measure_database(target, counts, sizes));
-    return proj;
-  }();
-  return *p;
-}
-
-const core::AppBaseData& batch_lu_data() {
-  static const core::AppBaseData* d = new core::AppBaseData(
-      experiments::collect_base_data(
-          nas::NasApp(nas::Benchmark::kLU, nas::ProblemClass::kC),
-          machine::make_power5_hydra(), {4, 8, 16}, {4, 8, 16}));
-  return *d;
-}
-
-// One app at three core counts sharing a surrogate search
-// (surrogate_reference_cores = 16): the batched engine (Arg = 1) memoises
-// the search and shares the indexed spec view, vs. the same requests issued
-// as independent `project` calls (Arg = 0) — each paying its own search.
-void BM_ProjectMany(benchmark::State& state) {
-  const core::Projector& projector = batch_projector();
-  const core::AppBaseData& lu = batch_lu_data();
-  const std::string target = machine::make_power6_575().name;
-  core::ProjectionOptions options;
-  options.compute.surrogate_reference_cores = 16;
-  std::vector<core::ProjectionRequest> requests;
-  for (const int ck : {4, 8, 16}) {
-    requests.push_back(core::ProjectionRequest{&lu, target, ck, options});
-  }
-  const bool batched = state.range(0) == 1;
-  for (auto _ : state) {
-    double total = 0.0;
-    if (batched) {
-      for (const core::ProjectionResult& r : projector.project_many(requests)) {
-        total += r.total_target();
-      }
-    } else {
-      for (const core::ProjectionRequest& r : requests) {
-        total += projector.project(*r.app, r.target, r.cores, r.options)
-                     .total_target();
-      }
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations() * requests.size());
-}
-BENCHMARK(BM_ProjectMany)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 // --- Observability overhead -------------------------------------------------
 // The instrumentation contract is "zero overhead when disabled": every macro
 // must cost one relaxed atomic load while the switches are off.  Arg = 1
@@ -519,6 +460,15 @@ BENCHMARK(BM_ImbMeasurement);
 // each iteration (cold artifacts are the cost being factored) and share one
 // pre-collected application profile, so the ratio isolates the planner.
 
+/// LU/C base profile, collected once outside any timed section.
+const core::AppBaseData& sweep_lu_data() {
+  static const core::AppBaseData* d = new core::AppBaseData(
+      experiments::collect_base_data(
+          nas::NasApp(nas::Benchmark::kLU, nas::ProblemClass::kC),
+          machine::make_power5_hydra(), {4, 8, 16}, {4, 8, 16}));
+  return *d;
+}
+
 void configure_sweep_runner(sweep::SweepRunner& runner) {
   const machine::Machine base = machine::make_power5_hydra();
   runner.set_spec_collector(
@@ -532,11 +482,11 @@ void configure_sweep_runner(sweep::SweepRunner& runner) {
   runner.add_app("LU/C",
                  service::describe_app_inputs("LU-MZ.C", base, 1, {4, 8, 16},
                                               {4, 8, 16}),
-                 [] { return batch_lu_data(); });
+                 [] { return sweep_lu_data(); });
 }
 
 void BM_SweepFanout(benchmark::State& state) {
-  (void)batch_lu_data();  // profile the app outside the timed region
+  (void)sweep_lu_data();  // profile the app outside the timed region
   const machine::Machine base = machine::make_power5_hydra();
   const machine::Machine target = machine::make_power6_575();
   sweep::SweepSpec spec;

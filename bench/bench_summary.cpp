@@ -18,9 +18,9 @@ int main() {
   std::size_t above = 0;
   std::size_t total = 0;
 
-  // One batch over every (target, app, class, count) cell: the service path
-  // plans shared artifacts once and projects the whole grid through
-  // Projector::project_many.
+  // One batch over every (target, app, class, count) cell: the Lab plans
+  // shared artifacts once and projects the whole grid through the artifact
+  // resolver.
   std::vector<experiments::Lab::RowQuery> queries;
   for (const std::string& target : lab.target_names()) {
     for (const auto bench :

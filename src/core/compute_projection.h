@@ -30,11 +30,12 @@ struct ComputeProjectionOptions {
   /// and every other count reuses that surrogate with its weights rescaled
   /// by the CCSM anchor ratio (Eq. 7's γ folded into the Eq. 2 scale) — the
   /// paper's collect-once / project-many shape applied to the search itself.
-  /// `Projector::project` honours it per call and `Projector::project_many`
-  /// memoises the shared search across requests, so batched and sequential
-  /// results stay byte-identical.  0 (default) searches at every count.
-  /// (`project_compute` itself always searches at the count it is given;
-  /// the reference indirection is the Projector's concern.)
+  /// `Projector::project` honours it per call, and the batch planner
+  /// (service/planner.h) runs one shared search per group of requests, so
+  /// batched and sequential results stay byte-identical.  0 (default)
+  /// searches at every count.  (`project_compute` itself always searches at
+  /// the count it is given; `core::project_from_surrogate` applies the
+  /// reference indirection.)
   int surrogate_reference_cores = 0;
 };
 

@@ -56,16 +56,6 @@ struct ProjectionResult {
   }
 };
 
-/// One row of a batched projection (the service's request unit): project
-/// `app` onto `target` at `cores` tasks under `options`.  `app` is borrowed
-/// and must outlive the `project_many` call.
-struct ProjectionRequest {
-  const AppBaseData* app = nullptr;
-  std::string target;
-  int cores = 0;
-  ProjectionOptions options;
-};
-
 /// Canonical key of the compute options that shape a surrogate search —
 /// requests agree on it iff a shared search is valid between them.  Used by
 /// the batch planner and the sweep planner to key shared-search artifacts.
@@ -74,23 +64,28 @@ std::string compute_options_key(const ComputeProjectionOptions& options);
 /// Rescales a reference-count compute projection to task count `ck`: the
 /// CCSM anchor at `ck` replaces the reference anchor, and the surrogate's
 /// weights (and hence its Eq. 2 target runtime) scale by the same γ factor.
-/// This is the exact function `project` applies when
-/// `surrogate_reference_cores` is pinned — exposed so the sweep executor can
-/// ride one search across core-count points bit-identically.
+/// This is the exact function `project_from_surrogate` applies when the
+/// search count differs from the request's.
 ComputeProjection rescale_reference(const ComputeProjection& at_reference,
                                     const AppBaseData& app, int reference_ck,
                                     int ck);
 
-/// Communication component of a projection of `app` at `ck` tasks, fed by
-/// the projected compute scale: the decoupled WaitTime-model projection
+/// The projection of `app` at `ck` tasks onto `target` from the surrogate
+/// searched at `search_ck`: the surrogate as-is at its own count, else
+/// `rescale_reference`d to `ck`; then the communication component fed by
+/// the projected compute scale — the decoupled WaitTime-model projection
 /// against the base and target IMB tables, or, when
 /// `options.decouple_components` is off, the coupled ablation that scales
-/// the whole communication budget by the compute speedup.
-CommProjection project_comm_component(const AppBaseData& app, int ck,
-                                      const imb::ImbDatabase& base_imb,
-                                      const imb::ImbDatabase& target_imb,
-                                      double compute_scale,
-                                      const ProjectionOptions& options);
+/// the whole communication budget by the compute speedup.  Every
+/// `ProjectionResult` is built here: `Projector::project`, the batch
+/// service, the sweep runner and the experiment Lab.
+ProjectionResult project_from_surrogate(const AppBaseData& app,
+                                        const std::string& target, int ck,
+                                        int search_ck,
+                                        const ComputeProjection& surrogate,
+                                        const imb::ImbDatabase& base_imb,
+                                        const imb::ImbDatabase& target_imb,
+                                        const ProjectionOptions& options);
 
 class Projector {
  public:
@@ -110,45 +105,13 @@ class Projector {
                      int threads_per_rank = 1) const;
 
   /// Projects `app` onto `target_machine` at task count `ck`.
+  /// Searches at the options' reference count when one is pinned, else at
+  /// `ck`, and builds the result with `project_from_surrogate`.
   ProjectionResult project(const AppBaseData& app,
                            const std::string& target_machine, int ck,
                            const ProjectionOptions& options = {}) const;
 
-  /// Batched projection — the collect-once / project-many engine.  Plans the
-  /// requests into shared intermediate artifacts (one `SpecIndex` per
-  /// (target, occupancy) pair; one GA surrogate search per (app, target,
-  /// reference count, options) group when `surrogate_reference_cores` is
-  /// set), executes independent plan nodes over the thread pool, and merges
-  /// in input order.  `results[i]` is byte-identical to
-  /// `project(*requests[i].app, requests[i].target, requests[i].cores,
-  /// requests[i].options)` at every `SWAPP_THREADS` value — sharing only
-  /// removes redundant recomputation, never changes a result.
-  std::vector<ProjectionResult> project_many(
-      const std::vector<ProjectionRequest>& requests) const;
-
  private:
-  /// Node occupancies a projection at `ck` implies on (base, target).
-  std::pair<int, int> occupancies_for(const std::string& target_machine,
-                                      int ck, int threads_per_rank) const;
-
-  /// Compute component with optional prebuilt artifacts: `index` is the
-  /// spec view at the search count (nullable), `shared_reference` a
-  /// memoised reference-count projection (nullable).  All four combinations
-  /// produce byte-identical results.
-  ComputeProjection compute_component(const AppBaseData& app,
-                                      const std::string& target_machine,
-                                      int ck,
-                                      const ComputeProjectionOptions& options,
-                                      const SpecIndex* index,
-                                      const ComputeProjection* shared_reference)
-      const;
-
-  /// Communication component fed by the projected compute scale.
-  CommProjection comm_component(const AppBaseData& app,
-                                const std::string& target_machine, int ck,
-                                double compute_scale,
-                                const ProjectionOptions& options) const;
-
   machine::Machine base_;
   SpecLibrary spec_;
   imb::ImbDatabase base_imb_;

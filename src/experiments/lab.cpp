@@ -4,6 +4,8 @@
 #include <set>
 
 #include "obs/trace.h"
+#include "service/artifact_cache.h"
+#include "service/planner.h"
 #include "spec/suite.h"
 #include "support/error.h"
 #include "support/parallel.h"
@@ -139,6 +141,17 @@ core::SpecLibrary collect_spec_library(
 // Lab
 // ---------------------------------------------------------------------------
 
+namespace {
+
+constexpr service::ResolverNames kNames{"lab",
+                                        "lab.spec_library",
+                                        "lab.imb_databases",
+                                        "lab.app_profiles",
+                                        "lab.searches",
+                                        "lab.project_rows"};
+
+}  // namespace
+
 std::string Lab::power6_name() { return machine::make_power6_575().name; }
 std::string Lab::bluegene_name() { return machine::make_bluegene_p().name; }
 std::string Lab::westmere_name() {
@@ -147,13 +160,35 @@ std::string Lab::westmere_name() {
 
 Lab::Lab(std::vector<std::string> target_names,
          std::filesystem::path cache_dir)
-    : base_(machine::make_power5_hydra()), cache_(std::move(cache_dir)) {
+    : service::ArtifactResolver(
+          machine::make_power5_hydra(),
+          service::CacheConfig{.cache_dir = std::move(cache_dir)}) {
   if (target_names.empty()) {
     target_names = {power6_name(), bluegene_name(), westmere_name()};
   }
   target_names_ = target_names;
   for (const std::string& name : target_names_) {
     targets_.emplace(name, machine::machine_by_name(name));
+  }
+  set_spec_collector(&collect_spec_library);
+  // Every app the Lab can profile, registered under its NAS name.
+  for (const auto b :
+       {nas::Benchmark::kBT, nas::Benchmark::kSP, nas::Benchmark::kLU}) {
+    const bool is_lu = (b == nas::Benchmark::kLU);
+    const std::vector<int>& mpi_counts =
+        is_lu ? lu_core_counts() : bt_sp_core_counts();
+    const std::vector<int>& counter_counts =
+        is_lu ? lu_core_counts() : bt_sp_counter_counts();
+    for (const auto c : {nas::ProblemClass::kC, nas::ProblemClass::kD}) {
+      const std::string name = nas::NasApp(b, c).name();
+      add_app(name,
+              service::describe_app_inputs(name, base(), 1, mpi_counts,
+                                           counter_counts),
+              [this, b, c, &mpi_counts, &counter_counts] {
+                return collect_base_data(nas::NasApp(b, c), base(),
+                                         mpi_counts, counter_counts);
+              });
+    }
   }
 }
 
@@ -163,8 +198,7 @@ const machine::Machine& Lab::target(const std::string& name) const {
   return it->second;
 }
 
-void Lab::ensure_databases() {
-  if (projector_) return;
+service::ArtifactResolver::Library Lab::spec_library(Run& run) {
   std::vector<machine::Machine> target_list;
   target_list.reserve(targets_.size());
   for (const auto& [name, m] : targets_) target_list.push_back(m);
@@ -172,53 +206,43 @@ void Lab::ensure_databases() {
   std::vector<int> task_counts = bt_sp_core_counts();
   task_counts.insert(task_counts.end(), lu_core_counts().begin(),
                      lu_core_counts().end());
-  // Databases come through the artifact cache: with a cache directory a
-  // warm Lab performs no benchmark simulation at all.  The collectors are
-  // internally parallel (suite jobs / IMB core counts).
-  spec_ = cache_.spec_library(
-      service::describe_spec_inputs(base_, target_list, task_counts),
-      [&] { return collect_spec_library(base_, target_list, task_counts); });
-
-  const auto imb_for = [&](const machine::Machine& m) {
-    return cache_.imb_database(
-        service::describe_imb_inputs(m, imb::default_core_counts(),
-                                     imb::default_message_sizes()),
-        [&] { return imb::measure_database(m); });
-  };
-  projector_ =
-      std::make_unique<core::Projector>(base_, *spec_, *imb_for(base_));
-  for (const auto& [name, m] : targets_) {
-    projector_->add_target(name, *imb_for(m));
-  }
+  return run.spec_libraries({{target_list, "spec library"}}, task_counts)
+      .front();
 }
 
 const core::Projector& Lab::projector() {
-  ensure_databases();
+  if (projector_) return *projector_;
+  service::RunReport report;
+  Run run(*this, kNames, report);
+  const Library spec = spec_library(run);
+  std::vector<machine::Machine> machines{base()};
+  for (const auto& [name, m] : targets_) machines.push_back(m);
+  const std::vector<std::shared_ptr<const imb::ImbDatabase>> imb =
+      run.imb_databases(machines);
+  projector_ = std::make_unique<core::Projector>(base(), *spec.data, *imb[0]);
+  for (std::size_t i = 1; i < machines.size(); ++i) {
+    projector_->add_target(machines[i].name, *imb[i]);
+  }
   return *projector_;
 }
 
 const core::AppBaseData& Lab::base_data(nas::Benchmark b,
                                         nas::ProblemClass c) {
-  const nas::NasApp app(b, c);
-  const std::string key = app.name();
+  const std::string name = nas::NasApp(b, c).name();
   {
     std::lock_guard<std::mutex> lock(app_data_mutex_);
-    const auto it = app_data_.find(key);
+    const auto it = app_data_.find(name);
     if (it != app_data_.end()) return *it->second;
   }
-  const bool is_lu = (b == nas::Benchmark::kLU);
-  const std::vector<int>& mpi_counts =
-      is_lu ? lu_core_counts() : bt_sp_core_counts();
-  const std::vector<int> counter_counts =
-      is_lu ? lu_core_counts() : bt_sp_counter_counts();
   // Collection runs outside the Lab lock (the cache dedups concurrent
   // requests to one stored value); with a cache directory the profile is
   // loaded instead of re-simulated.
-  std::shared_ptr<const core::AppBaseData> data = cache_.app_data(
-      service::describe_app_inputs(key, base_, 1, mpi_counts, counter_counts),
-      [&] { return collect_base_data(app, base_, mpi_counts, counter_counts); });
+  service::RunReport report;
+  Run run(*this, kNames, report);
+  std::shared_ptr<const core::AppBaseData> data =
+      run.app_profiles({name}).front().data;
   std::lock_guard<std::mutex> lock(app_data_mutex_);
-  return *app_data_.emplace(key, std::move(data)).first->second;
+  return *app_data_.emplace(name, std::move(data)).first->second;
 }
 
 const ActualRun& Lab::actual(nas::Benchmark b, nas::ProblemClass c,
@@ -284,24 +308,27 @@ ErrorRow Lab::error_row(nas::Benchmark b, nas::ProblemClass c,
 std::vector<ErrorRow> Lab::error_rows(const std::vector<RowQuery>& queries,
                                       const core::ProjectionOptions& options) {
   SWAPP_SPAN("lab.error_rows");
-  ensure_databases();
-  // Shared inputs are built before the fan-outs: after this loop the batch
-  // engine and the ground-truth rows only read.
-  for (const RowQuery& q : queries) base_data(q.bench, q.cls);
-
-  std::vector<core::ProjectionRequest> requests;
+  service::RunReport report;
+  Run run(*this, kNames, report);
+  std::vector<service::ServiceRequest> requests;
   requests.reserve(queries.size());
   for (const RowQuery& q : queries) {
-    requests.push_back(core::ProjectionRequest{&base_data(q.bench, q.cls),
-                                               q.target, q.ranks, options});
+    requests.push_back({nas::NasApp(q.bench, q.cls).name(), q.target,
+                        q.ranks, 1, options});
   }
+  const service::BatchPlan plan = service::plan_batch(requests, targets_);
+  std::vector<machine::Machine> targets;
+  for (const std::string& name : plan.targets) targets.push_back(target(name));
   const std::vector<core::ProjectionResult> projections =
-      projector_->project_many(requests);
+      run.project_batch(plan, requests, spec_library(run), targets);
   // Ground truth is independent per row; parallel_map preserves row order.
-  const std::vector<ActualRun> truths =
-      parallel_map(queries, [&](const RowQuery& q) {
-        return actual(q.bench, q.cls, q.target, q.ranks);
-      });
+  std::vector<ActualRun> truths;
+  {
+    SWAPP_SPAN("lab.actual_runs");
+    truths = parallel_map(queries, [&](const RowQuery& q) {
+      return actual(q.bench, q.cls, q.target, q.ranks);
+    });
+  }
 
   std::vector<ErrorRow> rows;
   rows.reserve(queries.size());
@@ -315,9 +342,7 @@ std::vector<ErrorRow> Lab::error_rows(const std::vector<RowQuery>& queries,
 core::ProjectionResult Lab::project(nas::Benchmark b, nas::ProblemClass c,
                                     const std::string& target_name, int ranks,
                                     const core::ProjectionOptions& options) {
-  ensure_databases();
-  const core::AppBaseData& data = base_data(b, c);
-  return projector_->project(data, target_name, ranks, options);
+  return projector().project(base_data(b, c), target_name, ranks, options);
 }
 
 FigureData Lab::figure(nas::Benchmark b, const std::string& target_name,
@@ -331,9 +356,8 @@ FigureData Lab::figure(nas::Benchmark b, const std::string& target_name,
   const std::vector<int> counts =
       is_lu ? std::vector<int>{16} : bt_sp_core_counts();
 
-  // All rows go through the batched comparison path: projections share the
-  // per-(target, occupancy) spec indexes inside project_many, ground-truth
-  // runs fan out over the pool.
+  // All rows go through the batched comparison path: one planned batch of
+  // projections, ground-truth runs fanned out over the pool.
   std::vector<RowQuery> queries;
   queries.reserve(counts.size() * 2);
   for (const int ranks : counts) {

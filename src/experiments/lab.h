@@ -1,13 +1,13 @@
 // Experiment harness: reproduces the paper's evaluation (§4).
 //
-// The Lab owns everything an experiment needs and caches the expensive
-// artifacts so a figure driver only pays for what it touches:
-//   * SPEC-style benchmark data on base + targets (SpecData);
-//   * IMB databases per machine;
-//   * NAS-MZ base profiles (MPI profiles at Cj, counters at Ci, ST+SMT);
-//   * ground-truth runs of the applications on the targets.
-// Projection and ground truth are kept strictly separate: the projector only
-// ever sees base profiles and benchmark databases.
+// The Lab is an artifact-resolver engine (service/resolver.h), like the
+// batch service and the sweep runner: the SPEC-style library, the IMB
+// databases, the NAS-MZ base profiles (MPI profiles at Cj, counters at Ci,
+// ST+SMT) and the GA surrogate searches come from its cache, so a figure
+// driver only pays for what it touches and a cache directory makes a rerun
+// replay them.  Ground-truth runs of the applications on the targets are
+// the Lab's own and never reach the projector: projection only ever sees
+// base profiles and benchmark databases.
 #pragma once
 
 #include <filesystem>
@@ -21,7 +21,7 @@
 #include "core/projector.h"
 #include "machine/machine.h"
 #include "nas/nas_app.h"
-#include "service/artifact_cache.h"
+#include "service/resolver.h"
 #include "support/table.h"
 
 namespace swapp::experiments {
@@ -64,7 +64,7 @@ struct FigureData {
   TextTable to_table() const;
 };
 
-class Lab {
+class Lab : public service::ArtifactResolver {
  public:
   /// `target_names`: which of the three paper targets to prepare; empty =
   /// all three.  The base system is always the POWER5+ Hydra.
@@ -77,13 +77,13 @@ class Lab {
   static std::string bluegene_name();
   static std::string westmere_name();
 
-  const machine::Machine& base() const { return base_; }
   const machine::Machine& target(const std::string& name) const;
   const std::vector<std::string>& target_names() const {
     return target_names_;
   }
 
-  /// Lazily-built projector over all prepared targets.
+  /// Lazily-built projector over all prepared targets (acquires the SPEC
+  /// library and every IMB database).
   const core::Projector& projector();
 
   /// Base-machine application data (cached per app).
@@ -106,18 +106,18 @@ class Lab {
     int ranks = 0;
   };
 
-  /// Batched `error_row`: all projections go through the batch engine
-  /// (`Projector::project_many`, sharing indexed spec views and — when the
-  /// options pin a reference count — surrogate searches), and the
-  /// ground-truth runs fan out over the pool.  rows[i] is byte-identical to
-  /// `error_row(queries[i]...)` at every thread count.
+  /// Batched `error_row`: the queries are planned as one batch
+  /// (`service::plan_batch`, one GA search per (app, target, search count)
+  /// group), their inputs and searches resolved through the artifact cache,
+  /// every projection built by `core::project_from_surrogate`, and the
+  /// ground-truth runs fanned out over the pool.  rows[i] is byte-identical
+  /// to `error_row(queries[i]...)` at every thread count.
   std::vector<ErrorRow> error_rows(const std::vector<RowQuery>& queries,
                                    const core::ProjectionOptions& options = {});
 
-  /// Full per-figure data: BT/SP style (all core counts × both classes).
-  /// Rows are independent (ground-truth run + projection each), so they fan
-  /// out over the swapp thread pool; row order and values are identical for
-  /// every thread count.
+  /// Full per-figure data: BT/SP style (all core counts × both classes),
+  /// through `error_rows`; row order and values are identical for every
+  /// thread count.
   FigureData figure(nas::Benchmark b, const std::string& target_name,
                     const core::ProjectionOptions& options = {});
 
@@ -127,14 +127,11 @@ class Lab {
                                  const core::ProjectionOptions& options = {});
 
  private:
-  machine::Machine base_;
+  /// The one SPEC library over every prepared target and task-count grid.
+  Library spec_library(Run& run);
+
   std::vector<std::string> target_names_;
   std::map<std::string, machine::Machine> targets_;
-  // Expensive inputs (spec library, IMB databases, app profiles) live in the
-  // content-addressed artifact cache: shared_ptr entries stay valid for
-  // holders even if evicted, and a cache directory makes them persistent.
-  service::ArtifactCache cache_;
-  std::shared_ptr<const core::SpecLibrary> spec_;
   std::unique_ptr<core::Projector> projector_;
   // Per-Lab lookups shared by the parallel figure rows, guarded by a mutex
   // each so entries stay stable while others are inserted concurrently.
@@ -142,8 +139,6 @@ class Lab {
   std::mutex app_data_mutex_;
   std::map<std::string, ActualRun> actuals_;
   std::mutex actuals_mutex_;
-
-  void ensure_databases();
 };
 
 /// Collects base-machine application data for an arbitrary NAS app.

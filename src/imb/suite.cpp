@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "mpi/world.h"
+#include "obs/trace.h"
 #include "support/error.h"
 #include "support/parallel.h"
 
@@ -285,6 +286,7 @@ void merge_table(CoreSizeTable& into, const CoreSizeTable& from) {
 ImbDatabase measure_database(const machine::Machine& m,
                              const std::vector<int>& core_counts,
                              const std::vector<Bytes>& sizes) {
+  SWAPP_SPAN("imb.measure_database");
   const std::vector<ImbDatabase> fragments =
       parallel_map(core_counts, [&](const int c) {
         return measure_core_count(m, c, sizes);

@@ -6,8 +6,9 @@
 // search count, threads, compute options) — when `surrogate_reference_cores`
 // is set, the search count is that reference and every core count of the
 // group rides one search.  `plan_batch` makes that sharing explicit before
-// any work runs, and the service executes the plan as it stands: it
-// resolves each planned search through the artifact cache (a warm cache
+// any work runs, and `ArtifactResolver::Run::project_batch` (the executor
+// of the batch service and the experiment Lab) runs the plan as it stands:
+// it resolves each planned search through the artifact cache (a warm cache
 // replays it from disk) and projects every request from its search.  Tests
 // assert the dedup on the plan alone, without running it.
 #pragma once

@@ -45,6 +45,17 @@ auto resolve_all([[maybe_unused]] const char* span,
   return out;
 }
 
+/// Key of an artifact loaded from a file: a fingerprint of its canonical
+/// serialisation, since the file carries no input description.
+template <typename T>
+std::string content_key(const char* kind, const T& value,
+                        void (*write)(std::ostream&, const T&)) {
+  std::ostringstream os;
+  write(os, value);
+  return std::string(kind) + "-content:" +
+         fingerprint_hex(fingerprint(os.str()));
+}
+
 }  // namespace
 
 bool RunReport::warm() const {
@@ -83,17 +94,28 @@ void ArtifactResolver::add_app(const std::string& name,
       AppEntry{std::move(canonical_inputs), std::move(collect), nullptr};
 }
 
-void ArtifactResolver::add_app_file(const std::string& name,
-                                    const std::filesystem::path& path) {
+const core::AppBaseData& ArtifactResolver::add_app_file(
+    const std::string& name, const std::filesystem::path& path) {
   auto data =
       std::make_shared<const core::AppBaseData>(io::load_app_data(path));
   // The file bypassed collection, so it carries no input description: its
   // content is the key.
-  std::ostringstream os;
-  io::write_app_data(os, *data);
   apps_[name] =
-      AppEntry{"app-content:" + fingerprint_hex(fingerprint(os.str())),
-               nullptr, std::move(data)};
+      AppEntry{content_key("app", *data, &io::write_app_data), nullptr, data};
+  return *data;
+}
+
+void ArtifactResolver::add_spec_file(const std::filesystem::path& path) {
+  auto data =
+      std::make_shared<const core::SpecLibrary>(io::load_spec_library(path));
+  spec_file_ = Library{content_key("spec", *data, &io::write_spec_library),
+                       std::move(data)};
+}
+
+void ArtifactResolver::add_imb_file(const std::string& machine_name,
+                                    const std::filesystem::path& path) {
+  imb_files_[machine_name] =
+      std::make_shared<const imb::ImbDatabase>(io::load_imb_database(path));
 }
 
 bool ArtifactResolver::has_app(const std::string& name) const {
@@ -129,12 +151,17 @@ void ArtifactResolver::Run::finish() {
 std::vector<ArtifactResolver::Library>
 ArtifactResolver::Run::spec_libraries(const std::vector<LibraryJob>& jobs,
                                       const std::vector<int>& task_counts) {
-  SWAPP_REQUIRE(resolver_.collect_spec_ != nullptr,
+  SWAPP_REQUIRE(resolver_.collect_spec_ != nullptr ||
+                    resolver_.spec_file_.data != nullptr,
                 "spec collector not set (see set_spec_collector)");
   const machine::Machine& base = resolver_.base_;
   return resolve_all(
       names_.spec_span, jobs, report_.artifacts,
       [&](const LibraryJob& job, ArtifactSource* source) {
+        if (resolver_.spec_file_.data) {
+          *source = ArtifactSource::kMemory;
+          return resolver_.spec_file_;
+        }
         Library lib;
         lib.key = describe_spec_inputs(base, job.targets, task_counts);
         lib.data = resolver_.cache_->spec_library(
@@ -154,6 +181,11 @@ ArtifactResolver::Run::imb_databases(
   return resolve_all(
       names_.imb_span, machines, report_.artifacts,
       [&](const machine::Machine& m, ArtifactSource* source) {
+        const auto file = resolver_.imb_files_.find(m.name);
+        if (file != resolver_.imb_files_.end()) {
+          *source = ArtifactSource::kMemory;
+          return file->second;
+        }
         return resolver_.cache_->imb_database(
             describe_imb_inputs(m, imb::default_core_counts(),
                                 imb::default_message_sizes()),
@@ -234,22 +266,55 @@ ArtifactResolver::Run::searches(const std::vector<SearchJob>& jobs) {
   return out;
 }
 
-core::ProjectionResult project_from_surrogate(
-    const core::AppBaseData& app, const std::string& target, int ck,
-    int search_ck, const core::ComputeProjection& surrogate,
-    const imb::ImbDatabase& base_imb, const imb::ImbDatabase& target_imb,
-    const core::ProjectionOptions& options) {
-  core::ProjectionResult out;
-  out.app = app.app;
-  out.target = target;
-  out.cores = ck;
-  out.compute = ck == search_ck ? surrogate
-                                : core::rescale_reference(surrogate, app,
-                                                          search_ck, ck);
-  out.comm = core::project_comm_component(app, ck, base_imb, target_imb,
-                                          out.compute.compute_scale(),
-                                          options);
-  return out;
+std::vector<core::ProjectionResult> ArtifactResolver::Run::project_batch(
+    const BatchPlan& plan, const std::vector<ServiceRequest>& requests,
+    const Library& library, const std::vector<machine::Machine>& targets) {
+  // IMB databases, base first then the targets in the order given.
+  std::vector<machine::Machine> machines{resolver_.base_};
+  machines.insert(machines.end(), targets.begin(), targets.end());
+  const std::vector<std::shared_ptr<const imb::ImbDatabase>> imb =
+      imb_databases(machines);
+  std::map<std::string, const imb::ImbDatabase*> target_imb;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    target_imb.emplace(targets[i].name, imb[i + 1].get());
+  }
+  end_phase("imb-databases");
+
+  // Application base profiles, in plan (first-appearance) order.
+  const std::vector<App> apps = app_profiles(plan.apps);
+  std::map<std::string, const App*> app_of;
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    app_of.emplace(plan.apps[i], &apps[i]);
+  }
+  end_phase("app-profiles");
+
+  // The planned searches, then every request from its search.
+  std::vector<SearchJob> jobs;
+  jobs.reserve(plan.searches.size());
+  for (const BatchPlan::Search& s : plan.searches) {
+    const App& app = *app_of.at(s.app);
+    SWAPP_REQUIRE(app.data->threads_per_rank == s.threads,
+                  "request thread count does not match the profile of " +
+                      s.app);
+    jobs.push_back(SearchJob{&library, &app, s.app, s.target, s.search_ck,
+                             s.threads, s.options});
+  }
+  const std::vector<std::shared_ptr<const core::ComputeProjection>>
+      surrogates = searches(jobs);
+  std::vector<core::ProjectionResult> results(requests.size());
+  {
+    SWAPP_SPAN(names_.project_span);
+    parallel_for(requests.size(), [&](std::size_t i) {
+      const ServiceRequest& r = requests[i];
+      const std::size_t s = plan.search_of[i];
+      results[i] = core::project_from_surrogate(
+          *app_of.at(r.app)->data, r.target, r.cores,
+          plan.searches[s].search_ck, *surrogates[s], *imb.front(),
+          *target_imb.at(r.target), r.options);
+    });
+  }
+  end_phase("projection");
+  return results;
 }
 
 }  // namespace swapp::service

@@ -1,12 +1,12 @@
 // One typed artifact resolver for every engine that projects from cached
-// inputs: the batch service (and through it `swapp project` and the daemon)
-// and the sweep runner.
+// inputs: the batch service (and through it `swapp project` and the daemon),
+// the sweep runner and the experiment Lab.
 //
 // The resolver owns the collectors and the application registry; a `Run`
 // owns one execution's get-or-compute calls against the shared
-// `ArtifactCache` — SPEC libraries, IMB databases, application profiles
-// (from a collector or a file) and GA surrogate searches — each fanned out
-// over the pool under its engine's span, with every artifact's tier noted
+// `ArtifactCache` — SPEC libraries, IMB databases and application profiles
+// (each from a collector or a file) and GA surrogate searches — each fanned
+// out over the pool under its engine's span, with every artifact's tier noted
 // in a deterministic order and the phases timed back to back.  Searches are
 // a persistent kind keyed by everything they consume, so a warm run replays
 // them from disk and performs none.
@@ -25,6 +25,7 @@
 #include "core/projector.h"
 #include "machine/machine.h"
 #include "service/artifact_cache.h"
+#include "service/planner.h"
 
 namespace swapp::service {
 
@@ -76,6 +77,7 @@ struct ResolverNames {
   const char* imb_span;
   const char* app_span;
   const char* search_span;
+  const char* project_span;  ///< building the results from the searches
 };
 
 class ArtifactResolver {
@@ -106,8 +108,17 @@ class ArtifactResolver {
   void add_app(const std::string& name, std::string canonical_inputs,
                AppCollector collect);
   /// Registers an already-collected profile from a file (loaded eagerly,
-  /// never re-simulated or re-persisted, keyed by its content).
-  void add_app_file(const std::string& name,
+  /// never re-simulated or re-persisted, keyed by its content); returns the
+  /// loaded profile, which the registry owns.
+  const core::AppBaseData& add_app_file(const std::string& name,
+                                        const std::filesystem::path& path);
+  /// Registers an already-collected SPEC library from a file the same way;
+  /// it then serves every library a run resolves, and its content keys the
+  /// searches run against it.
+  void add_spec_file(const std::filesystem::path& path);
+  /// Registers the IMB database of the machine named `machine_name` from a
+  /// file the same way; runs then resolve that machine to it.
+  void add_imb_file(const std::string& machine_name,
                     const std::filesystem::path& path);
   bool has_app(const std::string& name) const;
 
@@ -167,6 +178,15 @@ class ArtifactResolver {
     std::vector<std::shared_ptr<const core::ComputeProjection>> searches(
         const std::vector<SearchJob>& jobs);
 
+    /// Executes a planned batch against `library`: resolves the IMB
+    /// databases of the base and `targets`, the plan's app profiles and its
+    /// searches, then builds every request's result with
+    /// `core::project_from_surrogate`, in input order.  Ends the
+    /// imb-databases, app-profiles and projection phases.
+    std::vector<core::ProjectionResult> project_batch(
+        const BatchPlan& plan, const std::vector<ServiceRequest>& requests,
+        const Library& library, const std::vector<machine::Machine>& targets);
+
    private:
     ArtifactResolver& resolver_;
     ResolverNames names_;
@@ -186,17 +206,8 @@ class ArtifactResolver {
   SpecCollector collect_spec_;
   ImbCollector collect_imb_;
   std::map<std::string, AppEntry> apps_;
+  Library spec_file_;  ///< data is null unless add_spec_file was called
+  std::map<std::string, std::shared_ptr<const imb::ImbDatabase>> imb_files_;
 };
-
-/// The projection of `app` at `ck` tasks onto `target` from the surrogate
-/// searched at `search_ck`: the surrogate as-is at its own count, else
-/// `core::rescale_reference`d to `ck`, then `core::project_comm_component`.
-/// Byte-identical to `Projector::project` on the same inputs; the batch
-/// service and the sweep runner build every result through it.
-core::ProjectionResult project_from_surrogate(
-    const core::AppBaseData& app, const std::string& target, int ck,
-    int search_ck, const core::ComputeProjection& surrogate,
-    const imb::ImbDatabase& base_imb, const imb::ImbDatabase& target_imb,
-    const core::ProjectionOptions& options);
 
 }  // namespace swapp::service

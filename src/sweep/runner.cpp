@@ -40,9 +40,12 @@ machine::Machine imb_representative(const machine::Machine& member,
   return rep;
 }
 
-constexpr service::ResolverNames kNames{"sweep", "sweep.spec_libraries",
+constexpr service::ResolverNames kNames{"sweep",
+                                        "sweep.spec_libraries",
                                         "sweep.imb_databases",
-                                        "sweep.app_profile", "sweep.searches"};
+                                        "sweep.app_profile",
+                                        "sweep.searches",
+                                        "sweep.project_points"};
 
 }  // namespace
 
@@ -128,11 +131,11 @@ SweepRunner::SweepReport SweepRunner::run(const SweepSpec& spec,
   SWAPP_COUNT("sweep.searches_run", report.searches_run);
 
   {
-    SWAPP_SPAN("sweep.project_points");
+    SWAPP_SPAN(kNames.project_span);
     report.results = parallel_map(
         report.points, [&](const SweepPoint& point) {
           const std::size_t s = report.plan.search_of[point.index];
-          return service::project_from_surrogate(
+          return core::project_from_surrogate(
               *app.data, point.machine.name, point.tasks,
               report.plan.searches[s].search_ck, *surrogates[s], *imb.front(),
               *imb[report.plan.comm_class_of[point.index] + 1], spec.options);

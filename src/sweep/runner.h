@@ -10,7 +10,7 @@
 //     which member happened to come first);
 //   * per (compute class, search count) it runs one GA surrogate search,
 //     cached persistently, and every member point is built by
-//     `service::project_from_surrogate` — the search's surrogate as-is or
+//     `core::project_from_surrogate` — the search's surrogate as-is or
 //     `core::rescale_reference`d, the exact rescale `Projector::project`
 //     applies, so identity points are byte-identical to a direct projection;
 //   * per comm class it acquires one IMB database for a "comm

@@ -1,7 +1,8 @@
-// Tests for the batch projection service: project_many vs sequential
-// byte-identity (at several thread counts, with and without a shared
-// surrogate search), the content-addressed artifact cache (round-trip,
-// corruption fallback, eviction), the request planner's dedup, and the
+// Tests for the batch projection service: service rows vs sequential
+// `Projector::project` byte-identity on the same artifacts (at several
+// thread counts, with and without a shared surrogate search), the
+// content-addressed artifact cache (round-trip, corruption fallback,
+// eviction), the request planner's dedup, and the
 // artifact resolver (warm replay of searches, surrogate-key completeness,
 // span coverage of a run).
 #include <gtest/gtest.h>
@@ -51,11 +52,14 @@ class ServiceTest : public ::testing::Test {
   static void SetUpTestSuite() {
     base_ = new machine::Machine(machine::make_power5_hydra());
     target_ = new machine::Machine(machine::make_power6_575());
-    auto spec = collect_spec_library(*base_, {*target_}, kCounts);
-    projector_ = new core::Projector(
-        *base_, spec, imb::measure_database(*base_, kCounts, kSizes));
-    projector_->add_target(target_->name,
-                           imb::measure_database(*target_, kCounts, kSizes));
+    spec_ = new core::SpecLibrary(
+        collect_spec_library(*base_, {*target_}, kCounts));
+    base_imb_ = new imb::ImbDatabase(
+        imb::measure_database(*base_, kCounts, kSizes));
+    target_imb_ = new imb::ImbDatabase(
+        imb::measure_database(*target_, kCounts, kSizes));
+    projector_ = new core::Projector(*base_, *spec_, *base_imb_);
+    projector_->add_target(target_->name, *target_imb_);
     const nas::NasApp lu(nas::Benchmark::kLU, nas::ProblemClass::kC);
     lu_data_ = new core::AppBaseData(
         collect_base_data(lu, *base_, {4, 8, 16}, {4, 8, 16}));
@@ -63,28 +67,59 @@ class ServiceTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete projector_;
     delete lu_data_;
+    delete spec_;
+    delete base_imb_;
+    delete target_imb_;
     delete base_;
     delete target_;
   }
 
-  static std::vector<core::ProjectionRequest> lu_requests(
+  /// LU/C onto the target at 4, 8 and 16 tasks.
+  static std::vector<service::ServiceRequest> lu_requests(
       const core::ProjectionOptions& options) {
-    std::vector<core::ProjectionRequest> requests;
+    std::vector<service::ServiceRequest> requests;
     for (const int ck : {4, 8, 16}) {
-      requests.push_back(
-          core::ProjectionRequest{lu_data_, target_->name, ck, options});
+      requests.push_back({"LU/C", target_->name, ck, 1, options});
     }
     return requests;
   }
 
+  /// A service whose collectors hand out the fixture's artifacts, so its
+  /// rows and `projector_` project from the very same inputs.
+  static std::unique_ptr<service::ProjectionService> fixture_service() {
+    auto svc = std::make_unique<service::ProjectionService>(
+        *base_, std::vector<machine::Machine>{*target_});
+    svc->set_spec_collector(
+        [](const machine::Machine&, const std::vector<machine::Machine>&,
+           const std::vector<int>&) { return *spec_; });
+    svc->set_imb_collector([](const machine::Machine& m) {
+      return m.name == base_->name ? *base_imb_ : *target_imb_;
+    });
+    svc->add_app("LU/C", "lu-fixture", [] { return *lu_data_; });
+    return svc;
+  }
+
+  /// Runs `requests` through a fixture service at SWAPP_THREADS 1 and 4
+  /// and requires every row to equal `Projector::project` on the same
+  /// artifacts bit for bit; fills `sequential` with the latter.
+  static void expect_service_matches_projector(
+      const std::vector<service::ServiceRequest>& requests,
+      std::size_t searches, std::vector<core::ProjectionResult>& sequential);
+
   static machine::Machine* base_;
   static machine::Machine* target_;
+  static core::SpecLibrary* spec_;
+  static imb::ImbDatabase* base_imb_;
+  static imb::ImbDatabase* target_imb_;
   static core::Projector* projector_;
   static core::AppBaseData* lu_data_;
 };
 
 machine::Machine* ServiceTest::base_ = nullptr;
 machine::Machine* ServiceTest::target_ = nullptr;
+core::SpecLibrary* ServiceTest::spec_ = nullptr;
+imb::ImbDatabase* ServiceTest::base_imb_ = nullptr;
+imb::ImbDatabase* ServiceTest::target_imb_ = nullptr;
 core::Projector* ServiceTest::projector_ = nullptr;
 core::AppBaseData* ServiceTest::lu_data_ = nullptr;
 
@@ -112,44 +147,38 @@ void expect_identical(const core::ProjectionResult& a,
   EXPECT_EQ(a.total_target(), b.total_target());
 }
 
-TEST_F(ServiceTest, BatchMatchesSequentialAtEveryThreadCount) {
+void ServiceTest::expect_service_matches_projector(
+    const std::vector<service::ServiceRequest>& requests,
+    std::size_t searches, std::vector<core::ProjectionResult>& sequential) {
   ThreadCountGuard guard;
-  const std::vector<core::ProjectionRequest> requests = lu_requests({});
-
-  std::vector<core::ProjectionResult> reference;
-  for (const core::ProjectionRequest& r : requests) {
-    reference.push_back(projector_->project(*r.app, r.target, r.cores));
+  for (const service::ServiceRequest& r : requests) {
+    sequential.push_back(
+        projector_->project(*lu_data_, r.target, r.cores, r.options));
   }
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("SWAPP_THREADS " + std::to_string(threads));
     set_thread_count(threads);
-    const std::vector<core::ProjectionResult> batch =
-        projector_->project_many(requests);
-    ASSERT_EQ(batch.size(), requests.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      expect_identical(batch[i], reference[i]);
+    const auto report = fixture_service()->run(requests);
+    EXPECT_EQ(report.plan.searches.size(), searches);
+    EXPECT_EQ(report.searches_run, searches);
+    ASSERT_EQ(report.results.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      expect_identical(report.results[i], sequential[i]);
     }
   }
 }
 
+TEST_F(ServiceTest, BatchMatchesSequentialAtEveryThreadCount) {
+  // Reference 0: one search per row, each at the row's own count.
+  std::vector<core::ProjectionResult> sequential;
+  expect_service_matches_projector(lu_requests({}), 3, sequential);
+}
+
 TEST_F(ServiceTest, SharedSurrogateBatchMatchesSequential) {
-  ThreadCountGuard guard;
   core::ProjectionOptions options;
   options.compute.surrogate_reference_cores = 16;
-  const std::vector<core::ProjectionRequest> requests = lu_requests(options);
-
   std::vector<core::ProjectionResult> reference;
-  for (const core::ProjectionRequest& r : requests) {
-    reference.push_back(
-        projector_->project(*r.app, r.target, r.cores, options));
-  }
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    set_thread_count(threads);
-    const std::vector<core::ProjectionResult> batch =
-        projector_->project_many(requests);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      expect_identical(batch[i], reference[i]);
-    }
-  }
+  expect_service_matches_projector(lu_requests(options), 1, reference);
   // The shared search pins the surrogate composition: every count selects
   // the same benchmarks, rescaled by the CCSM anchor ratio.
   ASSERT_EQ(reference[0].compute.surrogate.terms.size(),
@@ -333,8 +362,9 @@ TEST_F(ResolverTest, ChangingAnySearchKeyInputRerunsTheSearch) {
   const machine::Machine other = machine::make_bluegene_p();
   service::CacheConfig config;
   config.cache_dir = dir_ / "cache";
-  const service::ResolverNames names{"test", "test.spec", "test.imb",
-                                     "test.apps", "test.searches"};
+  const service::ResolverNames names{"test",          "test.spec",
+                                     "test.imb",      "test.apps",
+                                     "test.searches", "test.project"};
   using Resolver = service::ArtifactResolver;
 
   std::vector<Resolver::Library> libraries;
@@ -378,6 +408,23 @@ TEST_F(ResolverTest, ChangingAnySearchKeyInputRerunsTheSearch) {
   variants.back().second.threads = 2;
   variants.emplace_back("app canonical inputs", base_job);
   variants.back().second.app = &renamed;
+  // A library registered from a file is keyed by its content: rewriting the
+  // file with another library reruns the search.
+  const std::filesystem::path spec_file = dir_ / "spec.lib";
+  const auto library_from_file = [&](const core::SpecLibrary& content) {
+    io::save_spec_library(spec_file, content);
+    Resolver resolver(*base_, config);
+    resolver.add_spec_file(spec_file);
+    service::RunReport report;
+    Resolver::Run run(resolver, names, report);
+    return run.spec_libraries({{{*target_, other}, "file"}}, {}).front();
+  };
+  const Resolver::Library from_file = library_from_file(*libraries[0].data);
+  const Resolver::Library edited = library_from_file(*libraries[1].data);
+  variants.emplace_back("spec library file", base_job);
+  variants.back().second.library = &from_file;
+  variants.emplace_back("spec library file content", base_job);
+  variants.back().second.library = &edited;
   for (const auto& [input, job] : variants) {
     SCOPED_TRACE("changed: " + input);
     EXPECT_EQ(searches_for(job), 1u);

@@ -2,7 +2,8 @@
 # End-to-end CLI smoke test: collect artifacts, run a cold batch into a
 # cache directory, rerun it warm, and require (a) byte-identical projection
 # tables and (b) a warm run that performs no simulation.  Finishes with the
-# one-shot `project` command reusing the same cache.
+# one-shot `project` command: warm over the same cache, from collected
+# files, and rejecting malformed integer flags.
 # Usage: tools/smoke_cli.sh  (set BUILD to point at a non-default build dir).
 set -euo pipefail
 
@@ -222,8 +223,64 @@ echo "== one-shot project reuses the batch's cache =="
   > "${WORK}/project1.out" 2> "${WORK}/project1.err"
 "${SWAPP}" project --app LU --class C --tasks 16 \
   --target "IBM POWER6 575" --cache-dir "${CACHE}" \
+  --metrics "${WORK}/project2.metrics" \
   > "${WORK}/project2.out" 2> "${WORK}/project2.err"
 diff -u "${WORK}/project1.out" "${WORK}/project2.out"
 grep -q "disk cache" "${WORK}/project2.err"
+
+# Fails unless the metrics snapshot $1 records no GA search.
+no_searches() {
+  python3 - "$1" <<'EOF'
+import json, sys
+for line in open(sys.argv[1]):
+    m = json.loads(line)
+    if m["type"] == "counter" and m["name"] == "ga.searches":
+        assert m["value"] == 0, f"{sys.argv[1]}: {m['value']} GA search(es)"
+EOF
+}
+
+echo "== project: a warm --cache-dir run searches nothing =="
+no_searches "${WORK}/project2.metrics"
+
+echo "== project: the file-based workflow prints the collected run's table =="
+"${SWAPP}" collect-imb --machine "TAMU Hydra (POWER5+)" \
+  --out "${WORK}/hydra.imb" 2> /dev/null
+"${SWAPP}" collect-spec --targets "IBM POWER6 575" --out "${WORK}/spec.lib" \
+  2> /dev/null
+project_files() {
+  "${SWAPP}" project --app-data "${WORK}/lu_c.app" --spec "${WORK}/spec.lib" \
+    --base-imb "${WORK}/hydra.imb" --target-imb "${WORK}/p6.imb" \
+    --target "IBM POWER6 575" --tasks 16 "$@"
+}
+project_files > "${WORK}/project-files.out" 2> /dev/null
+diff -u "${WORK}/project1.out" "${WORK}/project-files.out"
+
+echo "== project: file inputs are keyed by content; a rerun searches nothing =="
+project_files --cache-dir "${WORK}/file-cache" \
+  > "${WORK}/project-files1.out" 2> /dev/null
+project_files --cache-dir "${WORK}/file-cache" \
+  --metrics "${WORK}/project-files2.metrics" \
+  > "${WORK}/project-files2.out" 2> /dev/null
+diff -u "${WORK}/project1.out" "${WORK}/project-files2.out"
+no_searches "${WORK}/project-files2.metrics"
+
+echo "== CLI: malformed integer flags end in an error line, not a crash =="
+# The command must fail cleanly: a non-zero exit that is not a signal, and
+# an "error:" line on stderr.
+rejects() {
+  local rc=0
+  "${SWAPP}" "$@" > /dev/null 2> "${WORK}/reject.err" || rc=$?
+  if (( rc == 0 || rc >= 128 )) || ! grep -q "^error: " "${WORK}/reject.err"
+  then
+    echo "swapp $* exited ${rc}:" >&2
+    cat "${WORK}/reject.err" >&2
+    exit 1
+  fi
+}
+rejects project --app LU --class C --target "IBM POWER6 575" --tasks abc
+rejects project --app LU --class C --target "IBM POWER6 575" --tasks 16x
+rejects project --app LU --class C --target "IBM POWER6 575" --tasks 16 \
+  --threads x
+rejects profile --app LU --class C --counts 4,x --out "${WORK}/bad.app"
 
 echo "smoke ok"

@@ -15,7 +15,7 @@
 //                 --target "IBM POWER6 575" --tasks 128
 //
 //   # everything in one go (collects what is missing); a cache directory
-//   # makes the second run skip all simulation
+//   # makes the second run skip all simulation and the GA search
 //   swapp project --app BT --class C --target "IBM POWER6 575" --tasks 128
 //                 --cache-dir .swapp-cache
 //
@@ -24,6 +24,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -100,9 +101,10 @@ where <ref> > 0 runs the GA surrogate search once at that reference task
 count and rescales it to every other count of the same app/target group.
 
 --cache-dir enables the content-addressed artifact cache: collected spec
-libraries, IMB databases, and app profiles are stored there and reused by
-later runs (a warm run performs no simulation).  --cache-dir-max-bytes caps
-the disk tier; past the cap the oldest artifact files are evicted.
+libraries, IMB databases, app profiles and finished GA searches are stored
+there and reused by later runs (a warm run performs no simulation and no
+search).  --cache-dir-max-bytes caps the disk tier; past the cap the oldest
+artifact files are evicted.
 
 `serve` runs a long-lived projection daemon on a Unix-domain socket; it owns
 the artifact cache and coalesces concurrently queued requests into one
@@ -175,11 +177,26 @@ std::string need(const std::map<std::string, std::string>& flags,
   return it->second;
 }
 
+/// Parses a whole flag value as a positive decimal integer; anything else
+/// ("abc", "16x", "-4", out of range) throws InvalidArgument.
+int parse_positive(const std::string& text, const std::string& flag) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || value < 1) {
+    throw InvalidArgument("--" + flag + " must be a positive integer, got '" +
+                          text + "'");
+  }
+  return value;
+}
+
 std::vector<int> parse_counts(const std::string& csv) {
   std::vector<int> out;
   std::stringstream ss(csv);
   std::string token;
-  while (std::getline(ss, token, ',')) out.push_back(std::stoi(token));
+  while (std::getline(ss, token, ',')) {
+    out.push_back(parse_positive(token, "counts"));
+  }
   if (out.empty()) usage("empty count list");
   return out;
 }
@@ -264,7 +281,8 @@ int cmd_profile(const std::map<std::string, std::string>& flags) {
   const nas::Benchmark bench = benchmark_from(need(flags, "app"));
   const nas::ProblemClass cls = class_from(need(flags, "class"));
   const int threads =
-      flags.count("threads") ? std::stoi(flags.at("threads")) : 1;
+      flags.count("threads") ? parse_positive(flags.at("threads"), "threads")
+                             : 1;
   std::vector<int> counts =
       bench == nas::Benchmark::kLU ? std::vector<int>{4, 8, 16}
                                    : std::vector<int>{16, 32, 64, 128};
@@ -278,99 +296,6 @@ int cmd_profile(const std::map<std::string, std::string>& flags) {
 /// Reports where a (possibly cached) artifact came from.
 void note_source(const std::string& what, service::ArtifactSource source) {
   std::cerr << what << ": " << service::to_string(source) << "\n";
-}
-
-int cmd_project(const std::map<std::string, std::string>& flags) {
-  const std::string target_name = need(flags, "target");
-  const int tasks = std::stoi(need(flags, "tasks"));
-  const machine::Machine base = machine::make_power5_hydra();
-  const machine::Machine target = machine::machine_by_name(target_name);
-
-  // Everything that has to be collected (rather than loaded from an
-  // explicit file) goes through the artifact cache, so a warm --cache-dir
-  // run performs no simulation at all.
-  service::ArtifactCache cache(
-      flags.count("cache-dir") ? flags.at("cache-dir") : "");
-  service::ArtifactSource source = service::ArtifactSource::kComputed;
-
-  core::AppBaseData app_data;
-  if (flags.count("app-data")) {
-    app_data = io::load_app_data(flags.at("app-data"));
-  } else {
-    const nas::Benchmark bench = benchmark_from(need(flags, "app"));
-    const nas::ProblemClass cls = class_from(need(flags, "class"));
-    const int threads =
-        flags.count("threads") ? std::stoi(flags.at("threads")) : 1;
-    const std::vector<int> counts =
-        bench == nas::Benchmark::kLU ? std::vector<int>{4, 8, 16}
-                                     : std::vector<int>{16, 32, 64, 128};
-    const std::string app_name = nas::NasApp(bench, cls).name();
-    app_data = *cache.app_data(
-        service::describe_app_inputs(app_name, base, threads, counts, counts),
-        [&] { return profile_app(bench, cls, threads, counts); }, &source);
-    note_source("app profile (" + app_name + ")", source);
-  }
-
-  const std::vector<int> spec_counts = {4, 8, 16, 32, 64, 128};
-  core::SpecLibrary spec;
-  if (flags.count("spec")) {
-    spec = io::load_spec_library(flags.at("spec"));
-  } else {
-    spec = *cache.spec_library(
-        service::describe_spec_inputs(base, {target}, spec_counts),
-        [&] {
-          std::cerr << "collecting SPEC-style library...\n";
-          return experiments::collect_spec_library(base, {target},
-                                                   spec_counts);
-        },
-        &source);
-    note_source("spec library", source);
-  }
-
-  const auto imb_for = [&](const machine::Machine& m) {
-    const auto db = cache.imb_database(
-        service::describe_imb_inputs(m, imb::default_core_counts(),
-                                     imb::default_message_sizes()),
-        [&] { return imb::measure_database(m); }, &source);
-    note_source("IMB database (" + m.name + ")", source);
-    return *db;
-  };
-  imb::ImbDatabase base_imb = flags.count("base-imb")
-                                  ? io::load_imb_database(flags.at("base-imb"))
-                                  : imb_for(base);
-  imb::ImbDatabase target_imb =
-      flags.count("target-imb")
-          ? io::load_imb_database(flags.at("target-imb"))
-          : imb_for(target);
-
-  core::Projector projector(base, spec, std::move(base_imb));
-  projector.add_target(target_name, std::move(target_imb));
-  const core::ProjectionResult r =
-      projector.project(app_data, target_name, tasks);
-
-  TextTable table({"Quantity", "Seconds"});
-  table.set_title("Projection of " + app_data.app + " at " +
-                  std::to_string(tasks) + " tasks onto " + target_name);
-  table.add_row({"compute", TextTable::num(r.compute.target_compute, 3)});
-  table.add_row({"communication (transfer)",
-                 TextTable::num(r.comm.target_total() -
-                                    r.comm.of(mpi::RoutineClass::
-                                                  kPointToPointNonblocking)
-                                        .target_wait -
-                                    r.comm.of(mpi::RoutineClass::kCollective)
-                                        .target_wait,
-                                3)});
-  table.add_row({"communication (total)",
-                 TextTable::num(r.comm.target_total(), 3)});
-  table.add_row({"TOTAL", TextTable::num(r.total_target(), 3)});
-  table.print(std::cout);
-
-  std::cout << "surrogate:";
-  for (const core::SurrogateTerm& t : r.compute.surrogate.terms) {
-    std::cout << ' ' << t.benchmark << '*' << TextTable::num(t.weight, 3);
-  }
-  std::cout << "\n";
-  return 0;
 }
 
 /// Checks one batch row's app shape without registering anything; returns an
@@ -443,6 +368,77 @@ void install_spec_collector(Engine& svc) {
          const std::vector<int>& counts) {
         return experiments::collect_spec_library(b, t, counts);
       });
+}
+
+int cmd_project(const std::map<std::string, std::string>& flags) {
+  const machine::Machine base = machine::make_power5_hydra();
+  const machine::Machine target =
+      machine::machine_by_name(need(flags, "target"));
+  service::BatchRow row;
+  row.target = target.name;
+  row.tasks = parse_positive(need(flags, "tasks"), "tasks");
+
+  // A one-row batch: what has to be collected goes through the artifact
+  // cache, and the files given instead are keyed by their content, so a
+  // warm --cache-dir run performs no simulation and no search.
+  service::ServiceConfig config;
+  if (flags.count("cache-dir")) config.cache_dir = flags.at("cache-dir");
+  config.spec_task_counts = {4, 8, 16, 32, 64, 128};
+  service::ProjectionService svc(base, {target}, config);
+  install_spec_collector(svc);
+  if (flags.count("app-data")) {
+    row.app = "file:" + flags.at("app-data");
+    row.threads =
+        svc.add_app_file(row.app, flags.at("app-data")).threads_per_rank;
+  } else {
+    row.app = need(flags, "app") + "/" + need(flags, "class");
+    if (flags.count("threads")) {
+      row.threads = parse_positive(flags.at("threads"), "threads");
+    }
+  }
+  if (flags.count("spec")) svc.add_spec_file(flags.at("spec"));
+  if (flags.count("base-imb")) {
+    svc.add_imb_file(base.name, flags.at("base-imb"));
+  }
+  if (flags.count("target-imb")) {
+    svc.add_imb_file(target.name, flags.at("target-imb"));
+  }
+  try {
+    register_row_apps(svc, base, {row});
+  } catch (const swapp::Error& e) {
+    usage(e.what());
+  }
+
+  const service::ProjectionService::BatchReport report =
+      svc.run({service::to_service_request(row)});
+  for (const service::ArtifactNote& note : report.artifacts) {
+    note_source(note.name, note.source);
+  }
+  const core::ProjectionResult& r = report.results.front();
+
+  TextTable table({"Quantity", "Seconds"});
+  table.set_title("Projection of " + r.app + " at " +
+                  std::to_string(r.cores) + " tasks onto " + r.target);
+  table.add_row({"compute", TextTable::num(r.compute.target_compute, 3)});
+  table.add_row({"communication (transfer)",
+                 TextTable::num(r.comm.target_total() -
+                                    r.comm.of(mpi::RoutineClass::
+                                                  kPointToPointNonblocking)
+                                        .target_wait -
+                                    r.comm.of(mpi::RoutineClass::kCollective)
+                                        .target_wait,
+                                3)});
+  table.add_row({"communication (total)",
+                 TextTable::num(r.comm.target_total(), 3)});
+  table.add_row({"TOTAL", TextTable::num(r.total_target(), 3)});
+  table.print(std::cout);
+
+  std::cout << "surrogate:";
+  for (const core::SurrogateTerm& t : r.compute.surrogate.terms) {
+    std::cout << ' ' << t.benchmark << '*' << TextTable::num(t.weight, 3);
+  }
+  std::cout << "\n";
+  return 0;
 }
 
 /// One row of the batch result table, decoupled from where the numbers came
