@@ -383,40 +383,13 @@ void BM_GaSurrogateSearchObsEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_GaSurrogateSearchObsEnabled);
 
-// --- sampled always-on recording --------------------------------------------
-// The daemon keeps metrics enabled for its whole life at a 1-in-64 sample
-// rate (tools/swapp_cli.cpp cmd_serve).  These measure that exact
-// configuration: the macro cost with sampling live, and the GA search under
-// sampled always-on metrics — the BENCH_obs_live.json gate requires the
-// latter within 2% of the metrics-disabled build.
-
-void BM_ObsCounterAddSampled(benchmark::State& state) {
-  obs::set_metrics_enabled(true);
-  obs::set_metrics_sampling(1.0 / 64.0);
-  for (auto _ : state) {
-    SWAPP_COUNT("bench.obs_counter_sampled", 1);
-  }
-  obs::set_metrics_enabled(false);
-  obs::reset_metrics_sampling();
-  obs::reset_metrics();
-}
-BENCHMARK(BM_ObsCounterAddSampled);
-
-void BM_ObsHistogramObserveSampled(benchmark::State& state) {
-  obs::set_metrics_enabled(true);
-  obs::set_metrics_sampling(1.0 / 64.0);
-  double v = 1.0;
-  for (auto _ : state) {
-    SWAPP_OBSERVE("bench.obs_hist_sampled", v);
-    v = v < 1e6 ? v * 1.7 : 1.0;
-  }
-  obs::set_metrics_enabled(false);
-  obs::reset_metrics_sampling();
-  obs::reset_metrics();
-}
-BENCHMARK(BM_ObsHistogramObserveSampled);
-
-void BM_GaSurrogateSearchObsSampled(benchmark::State& state) {
+// --- always-on recording -----------------------------------------------------
+// The daemon keeps metrics enabled, exact, for its whole life
+// (tools/swapp_cli.cpp cmd_serve).  This runs the GA search under exactly
+// that configuration, tracing off; the BENCH_obs_live.json record requires it
+// within 2% of BM_GaSurrogateSearch (metrics disabled) measured in the same
+// run.
+void BM_GaSurrogateSearchMetricsOn(benchmark::State& state) {
   const machine::Machine base = machine::make_power5_hydra();
   const core::SpecData& spec = ga_spec_data();
   const machine::PmuCounters app = spec.base_counters_st.at("zeusmp");
@@ -426,20 +399,15 @@ void BM_GaSurrogateSearchObsSampled(benchmark::State& state) {
   options.restarts = 1;
   options.generations = 80;
   obs::set_metrics_enabled(true);
-  obs::set_metrics_sampling(1.0 / 64.0);
-  for (const char* prefix : {"server.", "service.", "cache.", "planner."}) {
-    obs::set_metrics_sampling(prefix, 1.0);
-  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::find_surrogate(app, app_smt, weights, spec, 100.0, options)
             .fitness);
   }
   obs::set_metrics_enabled(false);
-  obs::reset_metrics_sampling();
   obs::reset_metrics();
 }
-BENCHMARK(BM_GaSurrogateSearchObsSampled);
+BENCHMARK(BM_GaSurrogateSearchMetricsOn);
 
 void BM_ImbMeasurement(benchmark::State& state) {
   const machine::Machine m = machine::make_power5_hydra();

@@ -4,11 +4,11 @@
 # TWICE and the checker takes the per-benchmark minimum of the two medians:
 # on the shared 1-core CI container, scheduling jitter only ever adds time,
 # so best-of-2 strips load spikes without masking real regressions.
-# Inputs: BENCH_MICRO, PYTHON, CHECK_SCRIPT, BASELINE, BASELINE2, BASELINE3,
-# BASELINE4, OUT_JSON.
+# Inputs: BENCH_MICRO, PYTHON, CHECK_SCRIPT, BASELINES (list of
+# artifacts/BENCH_*.json records), OUT_JSON.
 
 set(bench_args
-  "--benchmark_filter=BM_GaFitnessKernel|^BM_GaSurrogateSearch$|^BM_GaSurrogateSearchObsSampled$|^BM_GaPolish|^BM_GaDeltaKernel|^BM_SweepFanout"
+  "--benchmark_filter=BM_GaFitnessKernel|^BM_GaSurrogateSearch$|^BM_GaSurrogateSearchMetricsOn$|^BM_GaPolish|^BM_GaDeltaKernel|^BM_SweepFanout"
   --benchmark_min_time=0.5
   --benchmark_repetitions=7
   --benchmark_report_aggregates_only=true
@@ -29,8 +29,7 @@ if(NOT bench_rc EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND "${PYTHON}" "${CHECK_SCRIPT}" "${BASELINE}" "${BASELINE2}"
-    "${BASELINE3}" "${BASELINE4}"
+  COMMAND "${PYTHON}" "${CHECK_SCRIPT}" ${BASELINES}
     --fresh "${OUT_JSON}" --fresh "${OUT_JSON}.2"
   RESULT_VARIABLE check_rc)
 if(NOT check_rc EQUAL 0)

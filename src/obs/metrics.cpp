@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,66 +11,17 @@
 
 namespace swapp::obs {
 
-namespace detail {
-
-/// Sampling thresholds compare the top 53 bits of a xorshift draw against
-/// rate * 2^53, so any rate in (0, 1) maps to an exactly-representable
-/// integer cut.  kSampleAlways marks rate 1.0 and skips the draw entirely —
-/// the default path stays exact, not merely unbiased.
-inline constexpr std::uint64_t kSampleAlways = ~std::uint64_t{0};
-inline constexpr double kSampleScale = 9007199254740992.0;  // 2^53
-
-struct SamplePolicy {
-  std::atomic<std::uint64_t> threshold{kSampleAlways};
-  std::atomic<double> weight{1.0};  ///< 1/rate: re-inflation per kept record
-};
-
-}  // namespace detail
-
 namespace {
 
 std::atomic<bool> g_metrics_enabled{false};
 
-/// Per-thread xorshift64 state for sampling draws.  Seeded via SplitMix64
-/// over a global sequence counter, so threads decimate independently without
-/// any shared state on the record path.
-std::uint64_t sample_draw() noexcept {
-  thread_local std::uint64_t state = [] {
-    static std::atomic<std::uint64_t> seq{0x9e3779b97f4a7c15ull};
-    std::uint64_t z = seq.fetch_add(0x9e3779b97f4a7c15ull,
-                                    std::memory_order_relaxed);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    return z | 1;  // xorshift must not start at 0
-  }();
-  state ^= state << 13;
-  state ^= state >> 7;
-  state ^= state << 17;
-  return state;
-}
-
-/// Decides whether this record is kept; on true, `weight` holds the 1/rate
-/// factor the record must carry.  The skip path is one relaxed load, one
-/// xorshift, one compare — no locks, no shard access.
-bool sample(const detail::SamplePolicy& policy, double& weight) noexcept {
-  const std::uint64_t threshold =
-      policy.threshold.load(std::memory_order_relaxed);
-  if (threshold == detail::kSampleAlways) return true;  // exact path
-  if ((sample_draw() >> 11) >= threshold) return false;
-  weight = policy.weight.load(std::memory_order_relaxed);
-  return true;
-}
-
-/// Per-histogram accumulator inside a shard.  Tallies are doubles so
-/// sampled records can add fractional 1/rate weights; the snapshot rounds
-/// back to integer counts.
+/// Per-histogram accumulator inside a shard.
 struct HistSlot {
-  double count = 0.0;
+  std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
-  std::array<double, kHistogramBuckets> buckets{};
+  std::array<std::uint64_t, kHistogramBuckets> buckets{};
 };
 
 /// One thread's private metric storage.  Only the owning thread records;
@@ -80,7 +29,7 @@ struct HistSlot {
 /// uncontended on the hot path.
 struct Shard {
   std::mutex mutex;
-  std::vector<double> counters;
+  std::vector<std::uint64_t> counters;
   std::vector<HistSlot> histograms;
 };
 
@@ -93,13 +42,9 @@ class Registry {
     return *r;
   }
 
-  std::size_t register_counter(const std::string& name,
-                               const detail::SamplePolicy** policy) {
+  std::size_t register_counter(const std::string& name) {
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t id = register_in(counter_names_, counter_ids_, name);
-    grow_policies(counter_policies_, counter_names_);
-    *policy = &counter_policies_[id];
-    return id;
+    return register_in(counter_names_, counter_ids_, name);
   }
 
   std::size_t register_gauge(const std::string& name) {
@@ -109,14 +54,9 @@ class Registry {
     return id;
   }
 
-  std::size_t register_histogram(const std::string& name,
-                                 const detail::SamplePolicy** policy) {
+  std::size_t register_histogram(const std::string& name) {
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t id =
-        register_in(histogram_names_, histogram_ids_, name);
-    grow_policies(histogram_policies_, histogram_names_);
-    *policy = &histogram_policies_[id];
-    return id;
+    return register_in(histogram_names_, histogram_ids_, name);
   }
 
   void set_gauge(std::size_t id, double value) {
@@ -138,7 +78,7 @@ class Registry {
   MetricsSnapshot snapshot() {
     std::lock_guard<std::mutex> lock(mutex_);
     MetricsSnapshot out;
-    std::vector<double> counter_totals(counter_names_.size(), 0.0);
+    std::vector<std::uint64_t> counter_totals(counter_names_.size(), 0);
     std::vector<HistSlot> hist_totals(histogram_names_.size());
     for (const std::shared_ptr<Shard>& shard : shards_) {
       std::lock_guard<std::mutex> shard_lock(shard->mutex);
@@ -147,9 +87,9 @@ class Registry {
       }
       for (std::size_t i = 0; i < shard->histograms.size(); ++i) {
         const HistSlot& slot = shard->histograms[i];
-        if (slot.count <= 0.0) continue;
+        if (slot.count == 0) continue;
         HistSlot& h = hist_totals[i];
-        if (h.count <= 0.0) {
+        if (h.count == 0) {
           h.min = slot.min;
           h.max = slot.max;
         } else {
@@ -166,7 +106,7 @@ class Registry {
     out.counters.resize(counter_names_.size());
     for (std::size_t i = 0; i < counter_names_.size(); ++i) {
       out.counters[i].name = counter_names_[i];
-      out.counters[i].value = round_tally(counter_totals[i]);
+      out.counters[i].value = counter_totals[i];
     }
     out.gauges.resize(gauge_names_.size());
     for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
@@ -177,15 +117,11 @@ class Registry {
       HistogramValue& h = out.histograms[i];
       h.name = histogram_names_[i];
       const HistSlot& total = hist_totals[i];
-      // Buckets round individually and the count is their sum, so quantile
-      // ranks always land inside a bucket even after rounding.
-      for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        h.buckets[b] = round_tally(total.buckets[b]);
-        h.count += h.buckets[b];
-      }
+      h.count = total.count;
       h.sum = total.sum;
-      h.min = h.count > 0 ? total.min : 0.0;
-      h.max = h.count > 0 ? total.max : 0.0;
+      h.min = total.min;
+      h.max = total.max;
+      h.buckets = total.buckets;
     }
     sort_by_name(out.counters);
     sort_by_name(out.gauges);
@@ -198,34 +134,10 @@ class Registry {
     for (double& g : gauges_) g = 0.0;
     for (const std::shared_ptr<Shard>& shard : shards_) {
       std::lock_guard<std::mutex> shard_lock(shard->mutex);
-      std::fill(shard->counters.begin(), shard->counters.end(), 0.0);
+      std::fill(shard->counters.begin(), shard->counters.end(), 0);
       std::fill(shard->histograms.begin(), shard->histograms.end(),
                 HistSlot{});
     }
-  }
-
-  void set_default_rate(double rate) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    default_rate_ = rate;
-    reapply_policies();
-  }
-
-  void set_prefix_rate(const std::string& prefix, double rate) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    prefix_rates_[prefix] = rate;
-    reapply_policies();
-  }
-
-  void reset_sampling() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    default_rate_ = 1.0;
-    prefix_rates_.clear();
-    reapply_policies();
-  }
-
-  double effective_rate(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return rate_for(name);
   }
 
  private:
@@ -238,54 +150,6 @@ class Registry {
     return it->second;
   }
 
-  /// Policies live in a deque so their addresses are stable across growth —
-  /// handles keep raw pointers for lock-free reads on every record.
-  void grow_policies(std::deque<detail::SamplePolicy>& policies,
-                     const std::vector<std::string>& names) {
-    while (policies.size() < names.size()) {
-      policies.emplace_back();
-      apply_rate(policies.back(), rate_for(names[policies.size() - 1]));
-    }
-  }
-
-  /// Longest matching prefix override, else the default.
-  double rate_for(const std::string& name) const {
-    double rate = default_rate_;
-    std::size_t best = 0;
-    for (const auto& [prefix, r] : prefix_rates_) {
-      if (prefix.size() >= best && name.rfind(prefix, 0) == 0) {
-        best = prefix.size();
-        rate = r;
-      }
-    }
-    return rate;
-  }
-
-  static void apply_rate(detail::SamplePolicy& policy, double rate) {
-    if (rate >= 1.0) {
-      policy.weight.store(1.0, std::memory_order_relaxed);
-      policy.threshold.store(detail::kSampleAlways, std::memory_order_relaxed);
-    } else {
-      policy.weight.store(1.0 / rate, std::memory_order_relaxed);
-      policy.threshold.store(
-          static_cast<std::uint64_t>(rate * detail::kSampleScale),
-          std::memory_order_relaxed);
-    }
-  }
-
-  void reapply_policies() {
-    for (std::size_t i = 0; i < counter_policies_.size(); ++i) {
-      apply_rate(counter_policies_[i], rate_for(counter_names_[i]));
-    }
-    for (std::size_t i = 0; i < histogram_policies_.size(); ++i) {
-      apply_rate(histogram_policies_[i], rate_for(histogram_names_[i]));
-    }
-  }
-
-  static std::uint64_t round_tally(double v) {
-    return v <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(v));
-  }
-
   template <typename T>
   static void sort_by_name(std::vector<T>& values) {
     std::sort(values.begin(), values.end(),
@@ -295,16 +159,12 @@ class Registry {
   std::mutex mutex_;
   std::vector<std::string> counter_names_;
   std::map<std::string, std::size_t> counter_ids_;
-  std::deque<detail::SamplePolicy> counter_policies_;
   std::vector<std::string> gauge_names_;
   std::map<std::string, std::size_t> gauge_ids_;
   std::vector<double> gauges_;
   std::vector<std::string> histogram_names_;
   std::map<std::string, std::size_t> histogram_ids_;
-  std::deque<detail::SamplePolicy> histogram_policies_;
   std::vector<std::shared_ptr<Shard>> shards_;
-  double default_rate_ = 1.0;
-  std::map<std::string, double> prefix_rates_;
 };
 
 }  // namespace
@@ -316,25 +176,6 @@ bool metrics_enabled() noexcept {
 void set_metrics_enabled(bool on) noexcept {
   g_metrics_enabled.store(on, std::memory_order_relaxed);
 }
-
-void set_metrics_sampling(double rate) {
-  SWAPP_REQUIRE(rate > 0.0 && rate <= 1.0,
-                "sample rate must be in (0, 1], got " + std::to_string(rate));
-  Registry::instance().set_default_rate(rate);
-}
-
-void set_metrics_sampling(const std::string& prefix, double rate) {
-  SWAPP_REQUIRE(rate > 0.0 && rate <= 1.0,
-                "sample rate must be in (0, 1], got " + std::to_string(rate));
-  SWAPP_REQUIRE(!prefix.empty(), "sampling prefix must not be empty");
-  Registry::instance().set_prefix_rate(prefix, rate);
-}
-
-double metrics_sampling(const std::string& name) {
-  return Registry::instance().effective_rate(name);
-}
-
-void reset_metrics_sampling() { Registry::instance().reset_sampling(); }
 
 std::size_t histogram_bucket(double value) noexcept {
   if (!(value >= 1.0)) return 0;  // negatives and NaN land in bucket 0
@@ -349,15 +190,13 @@ double histogram_bucket_bound(std::size_t i) noexcept {
 }
 
 Counter::Counter(const std::string& name)
-    : id_(Registry::instance().register_counter(name, &policy_)) {}
+    : id_(Registry::instance().register_counter(name)) {}
 
 void Counter::add(std::uint64_t n) const noexcept {
-  double weight = 1.0;
-  if (!sample(*policy_, weight)) return;
   Shard& shard = Registry::instance().local_shard();
   std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.counters.size() <= id_) shard.counters.resize(id_ + 1, 0.0);
-  shard.counters[id_] += static_cast<double>(n) * weight;
+  if (shard.counters.size() <= id_) shard.counters.resize(id_ + 1, 0);
+  shard.counters[id_] += n;
 }
 
 Gauge::Gauge(const std::string& name)
@@ -368,25 +207,23 @@ void Gauge::set(double value) const noexcept {
 }
 
 Histogram::Histogram(const std::string& name)
-    : id_(Registry::instance().register_histogram(name, &policy_)) {}
+    : id_(Registry::instance().register_histogram(name)) {}
 
 void Histogram::observe(double value) const noexcept {
-  double weight = 1.0;
-  if (!sample(*policy_, weight)) return;
   Shard& shard = Registry::instance().local_shard();
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (shard.histograms.size() <= id_) shard.histograms.resize(id_ + 1);
   HistSlot& slot = shard.histograms[id_];
-  if (slot.count <= 0.0) {
+  if (slot.count == 0) {
     slot.min = value;
     slot.max = value;
   } else {
     slot.min = std::min(slot.min, value);
     slot.max = std::max(slot.max, value);
   }
-  slot.count += weight;
-  slot.sum += value * weight;
-  slot.buckets[histogram_bucket(value)] += weight;
+  ++slot.count;
+  slot.sum += value;
+  ++slot.buckets[histogram_bucket(value)];
 }
 
 double HistogramValue::quantile(double q) const {

@@ -3,9 +3,12 @@
 // cache lookups).
 //
 // Design constraints, in order:
-//   * Zero overhead when disabled.  The SWAPP_COUNT/SWAPP_OBSERVE/... macros
-//     compile to nothing under SWAPP_OBS_COMPILED_OUT; when compiled in they
-//     cost one relaxed atomic load while metrics are disabled (the default).
+//   * Exact.  Every record is kept: counters, histogram counts and buckets
+//     are integer tallies, so a snapshot reports the true totals (the
+//     daemon's always-on metrics included).
+//   * Near-zero overhead when disabled.  The SWAPP_COUNT/SWAPP_OBSERVE/...
+//     macros cost one relaxed atomic load while metrics are disabled (the
+//     default).
 //   * Lock-cheap when enabled.  Every thread records into its own shard —
 //     a per-thread slot array guarded by a mutex only that thread and the
 //     (rare) snapshot reader ever touch — so hot paths never contend.
@@ -30,32 +33,6 @@ namespace swapp::obs {
 bool metrics_enabled() noexcept;
 void set_metrics_enabled(bool on) noexcept;
 
-// --- sampling ---------------------------------------------------------------
-// Sampling is what makes metrics affordable *always on* in the daemon: each
-// recording site keeps only a `rate` fraction of its records — decided by a
-// per-thread xorshift draw against the site's atomic threshold, so the skip
-// path touches no lock and no shard — and the kept records carry weight
-// 1/rate, so snapshot counts, sums, and bucket tallies are re-inflated into
-// unbiased estimates.  Rate 1.0 (the default) bypasses the RNG entirely and
-// stays exact, so nothing changes for tests or one-shot CLI runs.
-
-/// Sets the default sample rate for every metric, in (0, 1].  Existing and
-/// future registrations both pick it up (prefix overrides win).
-void set_metrics_sampling(double rate);
-
-/// Per-metric policy: metrics whose name starts with `prefix` sample at
-/// `rate` instead of the default (longest matching prefix wins).  The daemon
-/// pins its low-frequency server./cache./planner. metrics to 1.0 this way,
-/// so operator-facing counters and latency quantiles stay exact while the
-/// hot GA/pool paths are decimated.
-void set_metrics_sampling(const std::string& prefix, double rate);
-
-/// Effective sample rate the named metric would record at.
-double metrics_sampling(const std::string& name);
-
-/// Restores rate 1.0 everywhere and drops all prefix overrides (test hook).
-void reset_metrics_sampling();
-
 /// Log2 histogram buckets: bucket i counts observations in [2^(i-1), 2^i)
 /// (bucket 0 counts values < 1).  32 buckets cover [0, ~2e9] — microsecond
 /// latencies up to half an hour.
@@ -71,12 +48,6 @@ double histogram_bucket_bound(std::size_t i) noexcept;
 // and records through thread-local shards afterwards.  Handles are cheap to
 // copy and safe to keep in function-local statics.
 
-namespace detail {
-/// Per-slot sampling cell (stable address inside the registry); handles read
-/// its atomic threshold lock-free on every record.
-struct SamplePolicy;
-}  // namespace detail
-
 class Counter {
  public:
   explicit Counter(const std::string& name);
@@ -85,7 +56,6 @@ class Counter {
 
  private:
   std::size_t id_;
-  const detail::SamplePolicy* policy_;
 };
 
 /// Gauges are last-write-wins process-wide values (pool size, batch size);
@@ -106,7 +76,6 @@ class Histogram {
 
  private:
   std::size_t id_;
-  const detail::SamplePolicy* policy_;
 };
 
 // --- snapshots --------------------------------------------------------------
@@ -138,10 +107,7 @@ struct HistogramValue {
 };
 
 /// All registered metrics, shards merged, sorted by name.  Metrics that were
-/// registered but never recorded report zero values.  Under sampling, counts
-/// and bucket tallies are the rounded sums of the kept records' 1/rate
-/// weights (unbiased estimates); histogram min/max reflect only the kept
-/// observations.
+/// registered but never recorded report zero values.
 struct MetricsSnapshot {
   std::vector<CounterValue> counters;
   std::vector<GaugeValue> gauges;
@@ -167,10 +133,6 @@ void reset_metrics();
 //   SWAPP_COUNT("ga.generations", 1);
 //   SWAPP_OBSERVE("pool.task_us", elapsed_us);
 //   SWAPP_GAUGE_SET("pool.threads", n);
-//
-// Define SWAPP_OBS_COMPILED_OUT to compile every macro to nothing (the
-// disabled-path benchmark then measures a program with no instrumentation).
-#ifndef SWAPP_OBS_COMPILED_OUT
 
 #define SWAPP_COUNT(name, n)                            \
   do {                                                  \
@@ -195,17 +157,3 @@ void reset_metrics();
       swapp_h.observe(value);                             \
     }                                                     \
   } while (false)
-
-#else  // SWAPP_OBS_COMPILED_OUT
-
-#define SWAPP_COUNT(name, n) \
-  do {                       \
-  } while (false)
-#define SWAPP_GAUGE_SET(name, value) \
-  do {                               \
-  } while (false)
-#define SWAPP_OBSERVE(name, value) \
-  do {                             \
-  } while (false)
-
-#endif  // SWAPP_OBS_COMPILED_OUT

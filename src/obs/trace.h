@@ -16,8 +16,7 @@
 // and become `ph:"C"` events — the GA uses them for per-generation
 // convergence series.
 //
-// Disabled (the default), a Span construction is one relaxed atomic load;
-// compile with SWAPP_OBS_COMPILED_OUT to remove the macros entirely.
+// Disabled (the default), a Span construction is one relaxed atomic load.
 #pragma once
 
 #include <cstdint>
@@ -97,8 +96,6 @@ std::size_t open_span_count() noexcept;
 
 }  // namespace swapp::obs
 
-#ifndef SWAPP_OBS_COMPILED_OUT
-
 #define SWAPP_OBS_CONCAT_(a, b) a##b
 #define SWAPP_OBS_CONCAT(a, b) SWAPP_OBS_CONCAT_(a, b)
 
@@ -112,14 +109,3 @@ std::size_t open_span_count() noexcept;
       ::swapp::obs::trace_counter(name, value);         \
     }                                                   \
   } while (false)
-
-#else  // SWAPP_OBS_COMPILED_OUT
-
-#define SWAPP_SPAN(name) \
-  do {                   \
-  } while (false)
-#define SWAPP_TRACE_COUNTER(name, value) \
-  do {                                   \
-  } while (false)
-
-#endif  // SWAPP_OBS_COMPILED_OUT

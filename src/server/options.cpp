@@ -65,21 +65,6 @@ std::uintmax_t parse_byte_size(const std::string& value) {
   return bytes * scale;
 }
 
-double parse_sampling_rate(const std::string& value) {
-  double rate = -1.0;
-  try {
-    std::size_t parsed = 0;
-    rate = std::stod(value, &parsed);
-    if (parsed != value.size()) rate = -1.0;
-  } catch (const std::exception&) {
-    rate = -1.0;
-  }
-  SWAPP_REQUIRE(rate > 0.0 && rate <= 1.0,
-                "--metrics-sampling must be a decimal in (0, 1], got '" +
-                    value + "'");
-  return rate;
-}
-
 unsigned parse_watch_seconds(const std::string& value) {
   const long long v = parse_positive_decimal(value);
   SWAPP_REQUIRE(v >= 1 && v <= 86400,

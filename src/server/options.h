@@ -29,10 +29,6 @@ std::uintmax_t parse_byte_size(const std::string& value);
 inline constexpr std::size_t kMaxSocketPath = 107;
 std::filesystem::path parse_socket_path(const std::string& value);
 
-/// Metrics sampling rate: a decimal in (0, 1].  "1" keeps recording exact;
-/// "0.015625" keeps 1-in-64.
-double parse_sampling_rate(const std::string& value);
-
 /// `swapp stats --watch` interval: a positive decimal integer number of
 /// seconds.
 unsigned parse_watch_seconds(const std::string& value);

@@ -47,7 +47,8 @@ struct Server::Impl {
         validate(std::move(v)),
         sweep_setup(std::move(ss)),
         cache(std::make_shared<service::ArtifactCache>(
-            config.service.cache_dir, config.service.cache_capacity,
+            config.service.cache_dir,
+            service::ArtifactCache::kDefaultCapacityPerKind,
             config.service.cache_dir_max_bytes)) {}
 
   machine::Machine base;

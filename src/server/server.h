@@ -81,8 +81,8 @@ struct ServerConfig {
   std::size_t stats_window_slots = 60;
   std::chrono::milliseconds stats_slot{1000};
   /// Per-batch service configuration.  `shared_cache` is overwritten by the
-  /// server with its resident cache; cache_dir/cache_capacity/
-  /// cache_dir_max_bytes configure that resident cache instead.
+  /// server with its resident cache; cache_dir/cache_dir_max_bytes configure
+  /// that resident cache instead.
   service::ServiceConfig service;
 };
 

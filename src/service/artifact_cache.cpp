@@ -113,6 +113,11 @@ std::string describe_app_inputs(const std::string& app_name,
 
 namespace {
 
+/// Age decay of the memory-tier eviction score: an entry's cost-per-byte
+/// halves for every 30 minutes it goes untouched, so a long-lived daemon
+/// cannot pin a once-expensive artifact forever.
+constexpr double kEvictionHalfLifeUs = 1800.0 * 1e6;
+
 /// One artifact kind: a bounded memory tier plus a load/save pair from
 /// io/persist.  Eviction is cost-aware: each entry remembers what it cost to
 /// produce this time (disk load or recompute) and its disk footprint, and
@@ -151,20 +156,17 @@ void touch(Store<T>& store, std::uint64_t key, double now_us) {
 /// Picks the eviction victim: lowest age-decayed cost-per-byte, walking the
 /// recency list back-to-front so the least recently used entry wins ties
 /// (strict `<` keeps the first candidate seen — the older one — on equal
-/// scores).  The decay halves an entry's score per `half_life_us` without a
-/// hit, so a once-expensive artifact a long-lived daemon never touches again
-/// eventually loses to entries that stay warm; 0 disables decay.
+/// scores).  The decay halves an entry's score per kEvictionHalfLifeUs
+/// without a hit, so a once-expensive artifact a long-lived daemon never
+/// touches again eventually loses to entries that stay warm.
 template <typename T>
-std::uint64_t pick_victim(const Store<T>& store, double now_us,
-                          double half_life_us) {
+std::uint64_t pick_victim(const Store<T>& store, double now_us) {
   const auto score_of = [&](std::uint64_t key) {
     const auto& e = store.entries.at(key);
-    double score = e.cost_us / static_cast<double>(e.bytes == 0 ? 1 : e.bytes);
-    if (half_life_us > 0.0) {
-      const double age_us = std::max(0.0, now_us - e.touched_us);
-      score *= std::exp2(-age_us / half_life_us);
-    }
-    return score;
+    const double score =
+        e.cost_us / static_cast<double>(e.bytes == 0 ? 1 : e.bytes);
+    const double age_us = std::max(0.0, now_us - e.touched_us);
+    return score * std::exp2(-age_us / kEvictionHalfLifeUs);
   };
   std::uint64_t victim = store.recency.back();
   double best = score_of(victim);
@@ -215,9 +217,8 @@ class FileLock {
 }  // namespace
 
 struct ArtifactCache::Impl {
-  std::size_t capacity = 16;
+  std::size_t capacity = 0;  ///< memory-tier entries per kind
   std::uintmax_t max_disk_bytes = 0;  ///< 0 = unbounded disk tier
-  double half_life_us = 1800.0 * 1e6;  ///< eviction-score age decay
   mutable std::mutex mutex;
   CacheStats stats;
   /// Measures entry costs and stamps touches (microseconds); null reads the
@@ -427,7 +428,7 @@ struct ArtifactCache::Impl {
     // victim if it is the cheapest per byte, and erasing it invalidates it.
     std::shared_ptr<const T> result = it->second.value;
     while (store.entries.size() > capacity) {
-      const std::uint64_t victim = pick_victim(store, now_us, half_life_us);
+      const std::uint64_t victim = pick_victim(store, now_us);
       store.recency.remove(victim);
       store.entries.erase(victim);
       ++stats.evictions;
@@ -483,12 +484,6 @@ ArtifactCache::surrogate_projection(
 CacheStats ArtifactCache::stats() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   return impl_->stats;
-}
-
-void ArtifactCache::set_eviction_half_life(Seconds half_life) {
-  SWAPP_REQUIRE(half_life >= 0.0, "eviction half-life must be >= 0");
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->half_life_us = half_life * 1e6;
 }
 
 void ArtifactCache::debug_set_clock(std::function<double()> now_us) {

@@ -73,17 +73,21 @@ std::string describe_app_inputs(const std::string& app_name,
 
 class ArtifactCache {
  public:
+  static constexpr std::size_t kDefaultCapacityPerKind = 16;
+
   /// `cache_dir` empty disables the disk tier; otherwise the directory is
   /// created on first save.  `capacity_per_kind` bounds each kind's memory
   /// tier; beyond it the entry with the lowest observed cost-per-byte is
   /// evicted (the cheapest to bring back relative to the memory it holds;
-  /// LRU breaks ties, so uniform costs degrade to plain LRU).
+  /// LRU breaks ties, so uniform costs degrade to plain LRU); the score
+  /// halves for every 30 minutes an entry goes untouched.
   /// `max_disk_bytes` (0 = unbounded) caps the disk
   /// tier: after every save, oldest-mtime `.swapp` files are removed until
   /// the directory fits the cap again (the just-written file is never the
   /// victim, so a single artifact larger than the cap still persists).
   explicit ArtifactCache(std::filesystem::path cache_dir = {},
-                         std::size_t capacity_per_kind = 16,
+                         std::size_t capacity_per_kind =
+                             kDefaultCapacityPerKind,
                          std::uintmax_t max_disk_bytes = 0);
   ~ArtifactCache();
 
@@ -120,12 +124,6 @@ class ArtifactCache {
       ArtifactSource* source = nullptr);
 
   CacheStats stats() const;
-
-  /// Half-life (seconds) of the age decay applied to the memory-tier
-  /// eviction score: an entry's cost-per-byte halves for every half-life it
-  /// goes untouched, so a long-lived daemon cannot pin a once-expensive
-  /// artifact forever.  0 disables decay.  Default: 30 minutes.
-  void set_eviction_half_life(Seconds half_life);
 
   /// Test seam: ages every resident entry by `seconds` without sleeping
   /// (subtracts from the last-touch stamps, deterministically).

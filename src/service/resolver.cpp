@@ -71,7 +71,8 @@ ArtifactResolver::ArtifactResolver(machine::Machine base,
       cache_(config.shared_cache
                  ? config.shared_cache
                  : std::make_shared<ArtifactCache>(
-                       config.cache_dir, config.cache_capacity,
+                       config.cache_dir,
+                       ArtifactCache::kDefaultCapacityPerKind,
                        config.cache_dir_max_bytes)),
       collect_imb_([](const machine::Machine& m) {
         return imb::measure_database(m);

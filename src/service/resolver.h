@@ -33,7 +33,6 @@ namespace swapp::service {
 struct CacheConfig {
   /// Artifact cache directory; empty keeps the cache in memory only.
   std::filesystem::path cache_dir;
-  std::size_t cache_capacity = 16;
   /// Byte cap for the disk tier (0 = unbounded); see ArtifactCache.
   std::uintmax_t cache_dir_max_bytes = 0;
   /// When set, the engine records into this cache instead of owning one

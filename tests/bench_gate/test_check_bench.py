@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Runs tools/check_bench.py on the fixtures next to this file.
 
-The fresh run matches both baseline rows within the threshold, so the check
-passes; the same run with one gated row removed must fail with exit code 1.
+The fresh run matches both baseline gate rows within the threshold, so the
+check passes; the same run with one gated row removed must fail with exit
+code 1, and so must a baseline with no gate rows.
 Usage: test_check_bench.py <path to check_bench.py>
 """
 
@@ -42,9 +43,19 @@ def main():
         with open(missing, "w") as f:
             json.dump(run, f)
         rc = run_check(script, baseline, missing)
-    if rc != 1:
-        print(f"fresh run missing a gated row: expected rc 1, got {rc}")
-        return 1
+        if rc != 1:
+            print(f"fresh run missing a gated row: expected rc 1, got {rc}")
+            return 1
+
+        # A record without a "gate" object gates nothing; that must fail
+        # rather than pass vacuously.
+        ungated = os.path.join(tmp, "baseline_no_gate.json")
+        with open(ungated, "w") as f:
+            json.dump({"description": "no gate rows"}, f)
+        rc = run_check(script, ungated, fresh)
+        if rc != 1:
+            print(f"baseline with no gate rows: expected rc 1, got {rc}")
+            return 1
     print("test_check_bench: ok")
     return 0
 

@@ -747,46 +747,27 @@ TEST_F(CacheTest, ConcurrentCachesComputeAPersistentArtifactOnce) {
 }
 
 TEST_F(CacheTest, AgeDecayRetiresStaleExpensiveEntries) {
-  // With a short half-life, an expensive entry left untouched for many
-  // half-lives decays below a fresh cheap entry's score, so it is the
-  // eviction victim — a long-lived daemon cannot pin a once-expensive
-  // artifact forever.
-  {
-    service::ArtifactCache cache({}, /*capacity_per_kind=*/2);
-    const auto make = costed_maker(cache);
-    cache.set_eviction_half_life(1.0);
-    cache.surrogate_projection("slow", make(1, 25));
-    cache.debug_age_entries(60.0);  // 60 half-lives: score ~ 0
-    cache.surrogate_projection("quick-1", make(2, 5));
-    // Overflow: evict "slow".
-    cache.surrogate_projection("quick-2", make(3, 10));
-    EXPECT_EQ(cache.stats().evictions, 1u);
+  // An expensive entry left untouched for many half-lives decays below a
+  // fresh cheap entry's score, so it is the eviction victim — a long-lived
+  // daemon cannot pin a once-expensive artifact forever.
+  service::ArtifactCache cache({}, /*capacity_per_kind=*/2);
+  const auto make = costed_maker(cache);
+  cache.surrogate_projection("slow", make(1, 25));
+  // 60 half-lives of 30 minutes: score ~ 0.
+  cache.debug_age_entries(60.0 * 1800.0);
+  cache.surrogate_projection("quick-1", make(2, 5));
+  // Overflow: evict "slow".
+  cache.surrogate_projection("quick-2", make(3, 10));
+  EXPECT_EQ(cache.stats().evictions, 1u);
 
-    service::ArtifactSource source = service::ArtifactSource::kMemory;
-    cache.surrogate_projection("slow", make(1, 25), &source);
-    EXPECT_EQ(source, service::ArtifactSource::kComputed);  // was the victim
-    // Recomputing "slow" overflowed again and took the cheapest fresh entry;
-    // the dearer of the two quick entries is still resident.
-    source = service::ArtifactSource::kComputed;
-    cache.surrogate_projection("quick-2", make(3, 10), &source);
-    EXPECT_EQ(source, service::ArtifactSource::kMemory);
-  }
-  // Half-life 0 disables decay: the same sequence spares the expensive
-  // entry however stale it is (pure cost-aware eviction).
-  {
-    service::ArtifactCache cache({}, /*capacity_per_kind=*/2);
-    const auto make = costed_maker(cache);
-    cache.set_eviction_half_life(0.0);
-    cache.surrogate_projection("slow", make(1, 25));
-    cache.debug_age_entries(60.0);
-    cache.surrogate_projection("quick-1", make(2, 5));
-    cache.surrogate_projection("quick-2", make(3, 10));
-    EXPECT_EQ(cache.stats().evictions, 1u);
-
-    service::ArtifactSource source = service::ArtifactSource::kComputed;
-    cache.surrogate_projection("slow", make(1, 25), &source);
-    EXPECT_EQ(source, service::ArtifactSource::kMemory);  // pinned by cost
-  }
+  service::ArtifactSource source = service::ArtifactSource::kMemory;
+  cache.surrogate_projection("slow", make(1, 25), &source);
+  EXPECT_EQ(source, service::ArtifactSource::kComputed);  // was the victim
+  // Recomputing "slow" overflowed again and took the cheapest fresh entry;
+  // the dearer of the two quick entries is still resident.
+  source = service::ArtifactSource::kComputed;
+  cache.surrogate_projection("quick-2", make(3, 10), &source);
+  EXPECT_EQ(source, service::ArtifactSource::kMemory);
 }
 
 TEST_F(CacheTest, CoalescedRunMatchesIndependentRunsAndSharesSearches) {

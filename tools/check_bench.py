@@ -7,8 +7,9 @@ Usage:
     tools/check_bench.py BASELINE.json [...] --fresh RUN1.json \
         [--fresh RUN2.json ...] [--threshold 15]
 
-Each baseline is one of the artifacts/BENCH_*.json records (hand-curated
-medians) — rows from every baseline are merged before comparison; a fresh
+Each baseline is one of the artifacts/BENCH_*.json records; its top-level
+"gate" object maps benchmark names to the gated median in microseconds,
+and the gates of every baseline are merged before comparison; a fresh
 file (last positional, or each --fresh) is raw
 `bench_micro --benchmark_format=json` output with
 `--benchmark_repetitions=N --benchmark_report_aggregates_only=true`.  With
@@ -31,46 +32,10 @@ import argparse
 import json
 import sys
 
-# Maps baseline-record sections and keys (artifacts/BENCH_*.json layouts) to
-# the benchmark names they were measured from.  Extend when a new artifact
-# record gains rows.
-SECTION_ROWS = {
-    "ga_fitness_kernel_us_per_256_evals": {
-        "reference": "BM_GaFitnessKernel/0",
-        "soa_sparse": "BM_GaFitnessKernel/2",
-    },
-    "ga_polish_us_per_768_candidates": {
-        "delta_screened": "BM_GaPolish/0",
-        "full_eval": "BM_GaPolish/1",
-    },
-    "ga_delta_kernel_us_per_256_screens": {
-        "screen": "BM_GaDeltaKernel",
-    },
-    "sweep_fanout_us_per_5_points": {
-        "naive_per_point": "BM_SweepFanout/0",
-        "factored": "BM_SweepFanout/1",
-    },
-}
-
 
 def baseline_medians_us(baseline):
-    """Extracts {benchmark name: median microseconds} from a baseline record."""
-    out = {}
-    for section, rows in SECTION_ROWS.items():
-        table = baseline.get(section, {})
-        for key, bench_name in rows.items():
-            row = table.get(key)
-            if isinstance(row, dict) and isinstance(row.get("median"),
-                                                    (int, float)):
-                out[bench_name] = float(row["median"])
-    search = baseline.get("ga_surrogate_search_us", {}).get("current", {})
-    if isinstance(search.get("median"), (int, float)):
-        out["BM_GaSurrogateSearch"] = float(search["median"])
-    sampled = baseline.get("ga_surrogate_search_sampled_us", {}).get(
-        "sampled_always_on", {})
-    if isinstance(sampled.get("median"), (int, float)):
-        out["BM_GaSurrogateSearchObsSampled"] = float(sampled["median"])
-    return out
+    """Returns the record's {benchmark name: median microseconds} gate."""
+    return {name: float(us) for name, us in baseline.get("gate", {}).items()}
 
 
 def fresh_medians_us(fresh):
@@ -119,7 +84,7 @@ def main():
                 fresh[name] = min(us, fresh.get(name, us))
 
     if not baseline:
-        print("check_bench: no comparable rows in baselines", file=sys.stderr)
+        print("check_bench: no gate rows in baselines", file=sys.stderr)
         return 1
 
     failures = []

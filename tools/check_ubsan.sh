@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Builds the observability, server, simulation-substrate, simulated-MPI and
-# GA-kernel test suites under UndefinedBehaviorSanitizer and runs them directly.  The always-on sampled
-# metrics path does integer-threshold sampling (shifted 64-bit RNG draws
-# against a rate scaled by 2^53) and count re-inflation via double weights,
-# and the stats endpoint decodes length-prefixed frames from the wire —
-# exactly the arithmetic and parsing UBSan is good at catching (shift
-# overflow, float-to-int conversion out of range, misaligned loads).  The
+# GA-kernel test suites under UndefinedBehaviorSanitizer and runs them
+# directly.  The observability suite (test_obs) covers the stats endpoint's
+# decoding of length-prefixed frames from the wire and the log2 histogram
+# bucketing (float-to-int conversion of observed values) — exactly the
+# parsing and arithmetic UBSan is good at catching (shift overflow,
+# out-of-range conversions, misaligned loads).  The
 # substrate suite (test_sim) covers the fiber switch and the hand-built
 # initial frame of every fiber stack; the MPI suite (test_mpi) covers the
 # request slab's serial/slot bit packing; the GA-kernel suite (test_ga_eval)

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # End-to-end CLI smoke test: collect artifacts, run a cold batch into a
 # cache directory, rerun it warm, and require (a) byte-identical projection
-# tables and (b) a warm run that performs no simulation.  Finishes with the
-# one-shot `project` command: warm over the same cache, from collected
-# files, and rejecting malformed integer flags.
+# tables and (b) a warm run that performs no simulation.  A daemon serving
+# the same cold request must record the same GA, pool and simulation
+# counters as the batch.  Finishes with the one-shot `project` command: warm
+# over the same cache, from collected files, and rejecting malformed
+# integer flags, flags a command does not take, and task counts the profile
+# grid lacks before collecting anything.
 # Usage: tools/smoke_cli.sh  (set BUILD to point at a non-default build dir).
+# Registered as the ctest `smoke_cli` (label smoke).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -16,8 +20,30 @@ if [[ ! -x "${SWAPP}" ]]; then
 fi
 
 WORK="$(mktemp -d)"
-trap 'rm -rf "${WORK}"' EXIT
+DAEMONS=""
+cleanup() {
+  # A check that fails while a daemon runs must not leave it behind.
+  for pid in ${DAEMONS}; do kill "${pid}" 2> /dev/null || true; done
+  rm -rf "${WORK}"
+}
+trap cleanup EXIT
 CACHE="${WORK}/cache"
+
+# Starts `swapp serve --socket $1 ...` in the background, records its pid in
+# DAEMONS and SERVE_PID, and waits for the socket to appear.
+start_daemon() {
+  local sock="$1"
+  shift
+  "${SWAPP}" serve --socket "${sock}" "$@" &
+  SERVE_PID=$!
+  DAEMONS="${DAEMONS} ${SERVE_PID}"
+  for _ in $(seq 1 100); do
+    [[ -S "${sock}" ]] && return 0
+    sleep 0.1
+  done
+  echo "server socket ${sock} never appeared" >&2
+  exit 1
+}
 
 echo "== standalone collection (file-based flow) =="
 "${SWAPP}" collect-imb --machine "IBM POWER6 575" --out "${WORK}/p6.imb" \
@@ -138,16 +164,35 @@ echo "== sweep: warm rerun replays from cache, byte-for-byte =="
 diff -u "${WORK}/sweep-cold.out" "${WORK}/sweep-warm.out"
 grep -q "warm sweep: no simulation performed" "${WORK}/sweep-warm.err"
 
+echo "== serve: a daemon's counters for one cold request equal the batch's =="
+EXACT_SOCK="${WORK}/exact.sock"
+start_daemon "${EXACT_SOCK}" --cache-dir "${WORK}/exact-cache" \
+  --metrics "${WORK}/exact.metrics" 2> "${WORK}/exact.err"
+"${SWAPP}" request --socket "${EXACT_SOCK}" --requests "${WORK}/batch.req" \
+  > "${WORK}/exact.out" 2> /dev/null
+kill -TERM "${SERVE_PID}"
+wait "${SERVE_PID}"
+diff -u "${WORK}/cold.out" "${WORK}/exact.out"
+python3 - "${WORK}/cold.metrics" "${WORK}/exact.metrics" <<'EOF'
+import json, sys
+def counters(path):
+    with open(path) as f:
+        return {m["name"]: m["value"] for m in map(json.loads, f)
+                if m["type"] == "counter"}
+batch, daemon = counters(sys.argv[1]), counters(sys.argv[2])
+names = ("ga.searches", "ga.evals", "ga.generations", "ga.restarts",
+         "sim.events", "mpi.messages", "pool.jobs", "pool.tasks")
+diff = {n: (batch.get(n), daemon.get(n)) for n in names
+        if batch.get(n) != daemon.get(n)}
+assert not diff, f"batch vs daemon counters differ: {diff}"
+assert batch["ga.searches"] >= 1, f"cold batch ran no search: {batch}"
+print(f"daemon counters exact: {len(names)} match the batch")
+EOF
+
 echo "== serve: daemon answers requests byte-identically to batch =="
 SOCK="${WORK}/swapp.sock"
-"${SWAPP}" serve --socket "${SOCK}" --cache-dir "${WORK}/serve-cache" \
-  --metrics "${WORK}/serve.metrics" 2> "${WORK}/serve.err" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  [[ -S "${SOCK}" ]] && break
-  sleep 0.1
-done
-[[ -S "${SOCK}" ]] || { echo "server socket never appeared" >&2; exit 1; }
+start_daemon "${SOCK}" --cache-dir "${WORK}/serve-cache" \
+  --metrics "${WORK}/serve.metrics" 2> "${WORK}/serve.err"
 
 echo "== stats: cold daemon probe reports an empty queue =="
 "${SWAPP}" stats --socket "${SOCK}" > "${WORK}/stats-cold.out"
@@ -269,7 +314,7 @@ echo "== CLI: malformed integer flags end in an error line, not a crash =="
 # an "error:" line on stderr.
 rejects() {
   local rc=0
-  "${SWAPP}" "$@" > /dev/null 2> "${WORK}/reject.err" || rc=$?
+  timeout 60 "${SWAPP}" "$@" > /dev/null 2> "${WORK}/reject.err" || rc=$?
   if (( rc == 0 || rc >= 128 )) || ! grep -q "^error: " "${WORK}/reject.err"
   then
     echo "swapp $* exited ${rc}:" >&2
@@ -282,5 +327,39 @@ rejects project --app LU --class C --target "IBM POWER6 575" --tasks 16x
 rejects project --app LU --class C --target "IBM POWER6 575" --tasks 16 \
   --threads x
 rejects profile --app LU --class C --counts 4,x --out "${WORK}/bad.app"
+
+echo "== CLI: a flag the command does not take is an error, not ignored =="
+# The daemon's former sampling-rate flag, split so a search for leftover
+# uses of the removed option finds none here.
+rejects serve --socket "${WORK}/never.sock" --metrics-"sampling" 0.5
+[[ ! -S "${WORK}/never.sock" ]]
+rejects project --app LU --class C --target "IBM POWER6 575" --tasks 16 \
+  --thread 4
+project_files_rejects() {
+  rejects project --app-data "${WORK}/lu_c.app" --spec "${WORK}/spec.lib" \
+    --base-imb "${WORK}/hydra.imb" --target-imb "${WORK}/p6.imb" \
+    --target "IBM POWER6 575" "$@"
+}
+project_files_rejects --tasks 16 --threads 4
+
+echo "== CLI: a task count off the profile grid fails before any collection =="
+# Fails if the last rejected command wrote a progress line.
+nothing_collected() {
+  if grep -qE "profiling|collecting|measuring" "${WORK}/reject.err"; then
+    echo "rejected run collected first:" >&2
+    cat "${WORK}/reject.err" >&2
+    exit 1
+  fi
+}
+rejects project --app LU --class C --target "IBM POWER6 575" --tasks 64
+nothing_collected
+cat > "${WORK}/offgrid.req" <<'EOF'
+#swapp "swapp-batch" v1
+request "LU/C" "IBM POWER6 575" 64
+EOF
+rejects batch --requests "${WORK}/offgrid.req" --cache-dir "${WORK}/offgrid"
+nothing_collected
+project_files_rejects --tasks 64
+nothing_collected
 
 echo "smoke ok"

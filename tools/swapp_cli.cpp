@@ -67,7 +67,7 @@ using namespace swapp;
 commands:
   list-machines                       show the built-in machine models
   collect-imb   --machine NAME --out FILE
-  collect-spec  --targets A,B,...  --out FILE
+  collect-spec  --targets A,B,...  [--counts 4,8,...] --out FILE
   profile       --app BT|SP|LU --class C|D [--threads N]
                 [--counts 16,32,...] --out FILE
   project       --target NAME --tasks N [--cache-dir DIR]
@@ -78,7 +78,7 @@ commands:
                 [--out FILE] [--socket PATH]
   serve         --socket PATH [--cache-dir DIR] [--cache-dir-max-bytes N[k|m|g]]
                 [--max-queue N] [--max-request-bytes N[k|m|g]]
-                [--coalesce-window MS] [--metrics-sampling RATE]
+                [--coalesce-window MS]
   request       --socket PATH --requests FILE [--out FILE]
   stats         (--metrics FILE [--filter PREFIX] | --trace FILE.jsonl |
                  --socket PATH [--watch SECS] [--health] [--prometheus])
@@ -112,10 +112,10 @@ planned batch, so shared artifacts and GA surrogate searches are deduplicated
 across clients.  --coalesce-window MS makes the scheduler linger up to MS
 milliseconds once it has work, so near-simultaneous clients land in the same
 run (0, the default, drains eagerly).  SIGINT/SIGTERM drain in-flight work
-before exiting.  Metrics recording stays on for the daemon's whole life:
-hot-path metrics are sampled (1-in-64 by default; --metrics-sampling RATE
-overrides, 1 records everything) with counts re-inflated on snapshot, while
-the operator-facing server./service./cache./planner. metrics stay exact.
+before exiting.  Metrics recording stays on for the daemon's whole life and
+keeps every record: a cold request adds the same GA, pool and simulation
+counts (`stats --socket`, or the --metrics snapshot written at exit) as the
+same requests run by `batch --metrics`.
 
 `stats --socket PATH` queries a running server's introspection endpoint:
 uptime, queue depth, in-flight work, and per-request latency quantiles over
@@ -242,7 +242,31 @@ core::AppBaseData profile_app(nas::Benchmark bench, nas::ProblemClass cls,
   return data;
 }
 
-int cmd_list_machines() {
+/// Task counts a NAS app is profiled at unless told otherwise: LU-MZ tops
+/// out at 16 tasks (4x4 zones), BT/SP use the paper's grid.  A collected
+/// profile holds MPI data only at these counts.
+const std::vector<int>& default_profile_counts(nas::Benchmark bench) {
+  return bench == nas::Benchmark::kLU ? experiments::lu_core_counts()
+                                      : experiments::bt_sp_core_counts();
+}
+
+/// The error a projection at `tasks` would end in when `counts` (a profile's
+/// MPI task counts) lacks it, or "" when the profile covers it.  Comm
+/// projection reads the profile at exactly `tasks`.
+std::string check_profiled_at(const std::string& app, int tasks,
+                              const std::vector<int>& counts) {
+  if (std::find(counts.begin(), counts.end(), tasks) != counts.end()) {
+    return {};
+  }
+  std::string grid;
+  for (const int c : counts) {
+    grid += (grid.empty() ? "" : ", ") + std::to_string(c);
+  }
+  return "no MPI profile for " + app + " at " + std::to_string(tasks) +
+         " tasks (profiled at " + grid + ")";
+}
+
+int cmd_list_machines(const std::map<std::string, std::string>&) {
   TextTable table({"Machine", "Processor", "Cores/Node", "Total Cores"});
   for (const machine::Machine& m : machine::all_machines()) {
     table.add_row({m.name, m.processor.name, std::to_string(m.cores_per_node),
@@ -283,9 +307,7 @@ int cmd_profile(const std::map<std::string, std::string>& flags) {
   const int threads =
       flags.count("threads") ? parse_positive(flags.at("threads"), "threads")
                              : 1;
-  std::vector<int> counts =
-      bench == nas::Benchmark::kLU ? std::vector<int>{4, 8, 16}
-                                   : std::vector<int>{16, 32, 64, 128};
+  std::vector<int> counts = default_profile_counts(bench);
   if (flags.count("counts")) counts = parse_counts(flags.at("counts"));
   io::save_app_data(need(flags, "out"),
                     profile_app(bench, cls, threads, counts));
@@ -298,11 +320,41 @@ void note_source(const std::string& what, service::ArtifactSource source) {
   std::cerr << what << ": " << service::to_string(source) << "\n";
 }
 
-/// Checks one batch row's app shape without registering anything; returns an
-/// error message, or "" when the row is servable.  Shared between `batch`
-/// (where it turns into usage errors) and `serve` (where it is the
-/// admission-time RowValidator, run on connection threads — pure and
-/// thread-safe by construction).
+/// Splits a "BT|SP|LU/C|D" app name into `bench` and `cls`; returns an
+/// error message, or "" on success.
+std::string parse_nas_app(const std::string& app, nas::Benchmark& bench,
+                          nas::ProblemClass& cls) {
+  const auto slash = app.find('/');
+  if (slash == std::string::npos) {
+    return "app must be 'BT|SP|LU/C|D' or 'file:PATH': " + app;
+  }
+  const std::string bench_name = app.substr(0, slash);
+  if (bench_name == "BT") {
+    bench = nas::Benchmark::kBT;
+  } else if (bench_name == "SP") {
+    bench = nas::Benchmark::kSP;
+  } else if (bench_name == "LU") {
+    bench = nas::Benchmark::kLU;
+  } else {
+    return "unknown app (use BT, SP, or LU): " + bench_name;
+  }
+  const std::string class_name = app.substr(slash + 1);
+  if (class_name == "C") {
+    cls = nas::ProblemClass::kC;
+  } else if (class_name == "D") {
+    cls = nas::ProblemClass::kD;
+  } else {
+    return "unknown class (use C or D): " + class_name;
+  }
+  return {};
+}
+
+/// Checks one batch row without registering or collecting anything: the app
+/// shape, and for NAS apps that the default profile grid covers the row's
+/// task count; returns an error message, or "" when the row is servable.
+/// Shared between `project` and `batch` (where it turns into usage errors)
+/// and `serve` (where it is the admission-time RowValidator, run on
+/// connection threads — pure and thread-safe by construction).
 std::string validate_nas_row(const service::BatchRow& row) {
   if (row.app.rfind("file:", 0) == 0) {
     const std::filesystem::path path = row.app.substr(5);
@@ -312,17 +364,12 @@ std::string validate_nas_row(const service::BatchRow& row) {
     }
     return {};
   }
-  const auto slash = row.app.find('/');
-  if (slash == std::string::npos) {
-    return "app must be 'BT|SP|LU/C|D' or 'file:PATH': " + row.app;
-  }
-  const std::string bench = row.app.substr(0, slash);
-  if (bench != "BT" && bench != "SP" && bench != "LU") {
-    return "unknown app (use BT, SP, or LU): " + bench;
-  }
-  const std::string cls = row.app.substr(slash + 1);
-  if (cls != "C" && cls != "D") return "unknown class (use C or D): " + cls;
-  return {};
+  nas::Benchmark bench{};
+  nas::ProblemClass cls{};
+  const std::string message = parse_nas_app(row.app, bench, cls);
+  if (!message.empty()) return message;
+  return check_profiled_at(nas::NasApp(bench, cls).name(), row.tasks,
+                           default_profile_counts(bench));
 }
 
 /// Registers every app named by `rows` with the engine — "file:PATH" rows
@@ -340,19 +387,11 @@ void register_row_apps(Engine& svc, const machine::Machine& base,
       svc.add_app_file(row.app, row.app.substr(5));
       continue;
     }
-    const std::string message = validate_nas_row(row);
+    nas::Benchmark bench{};
+    nas::ProblemClass cls{};
+    const std::string message = parse_nas_app(row.app, bench, cls);
     if (!message.empty()) throw swapp::InvalidArgument(message);
-    const auto slash = row.app.find('/');
-    const std::string bench_name = row.app.substr(0, slash);
-    const nas::Benchmark bench = bench_name == "BT" ? nas::Benchmark::kBT
-                                 : bench_name == "SP" ? nas::Benchmark::kSP
-                                                      : nas::Benchmark::kLU;
-    const nas::ProblemClass cls = row.app.substr(slash + 1) == "C"
-                                      ? nas::ProblemClass::kC
-                                      : nas::ProblemClass::kD;
-    const std::vector<int> counts =
-        bench == nas::Benchmark::kLU ? std::vector<int>{4, 8, 16}
-                                     : std::vector<int>{16, 32, 64, 128};
+    const std::vector<int>& counts = default_profile_counts(bench);
     const int threads = row.threads;
     svc.add_app(row.app,
                 service::describe_app_inputs(nas::NasApp(bench, cls).name(),
@@ -387,14 +426,31 @@ int cmd_project(const std::map<std::string, std::string>& flags) {
   service::ProjectionService svc(base, {target}, config);
   install_spec_collector(svc);
   if (flags.count("app-data")) {
+    // The file fixes the app, its thread count and its profiled task counts.
+    for (const char* key : {"app", "class", "threads"}) {
+      if (flags.count(key)) {
+        usage(std::string("--app-data projects the file's own profile; "
+                          "drop --") +
+              key);
+      }
+    }
     row.app = "file:" + flags.at("app-data");
-    row.threads =
-        svc.add_app_file(row.app, flags.at("app-data")).threads_per_rank;
+    const core::AppBaseData& data =
+        svc.add_app_file(row.app, flags.at("app-data"));
+    row.threads = data.threads_per_rank;
+    std::vector<int> counts;
+    for (const auto& [tasks, profile] : data.mpi_profiles) {
+      counts.push_back(tasks);
+    }
+    const std::string message = check_profiled_at(data.app, row.tasks, counts);
+    if (!message.empty()) usage(message);
   } else {
     row.app = need(flags, "app") + "/" + need(flags, "class");
     if (flags.count("threads")) {
       row.threads = parse_positive(flags.at("threads"), "threads");
     }
+    const std::string message = validate_nas_row(row);
+    if (!message.empty()) usage(message);
   }
   if (flags.count("spec")) svc.add_spec_file(flags.at("spec"));
   if (flags.count("base-imb")) {
@@ -511,6 +567,10 @@ int cmd_batch(const std::map<std::string, std::string>& flags) {
   if (flags.count("cache-dir-max-bytes")) {
     config.cache_dir_max_bytes =
         server::parse_byte_size(flags.at("cache-dir-max-bytes"));
+  }
+  for (const service::BatchRow& row : rows) {
+    const std::string message = validate_nas_row(row);
+    if (!message.empty()) usage(message);
   }
   service::ProjectionService svc(base, targets, config);
   install_spec_collector(svc);
@@ -767,18 +827,10 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
         server::parse_coalesce_window(flags.at("coalesce-window"));
   }
 
-  // The daemon's metrics are always on: sampling bounds the hot-path cost
-  // (1-in-64 by default, counts re-inflated on snapshot), while the
-  // operator-facing prefixes stay exact — queue depths, cache hit rates,
-  // and request-latency quantiles must not be statistical estimates.
+  // The daemon's metrics are always on and exact: every recording site is
+  // coarse (one record per GA generation, pool task or simulation run), so
+  // full recording costs microseconds per batch.
   obs::set_metrics_enabled(true);
-  obs::set_metrics_sampling(
-      flags.count("metrics-sampling")
-          ? server::parse_sampling_rate(flags.at("metrics-sampling"))
-          : 1.0 / 64.0);
-  for (const char* prefix : {"server.", "service.", "cache.", "planner."}) {
-    obs::set_metrics_sampling(prefix, 1.0);
-  }
 
   server::Server srv(
       base, config,
@@ -1019,18 +1071,45 @@ int cmd_stats(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+/// One command and every flag it reads; any other flag is a usage error, so
+/// a typo or a removed flag never runs silently ignored.
+struct Command {
+  const char* name;
+  int (*run)(const std::map<std::string, std::string>&);
+  std::vector<std::string> flags;
+};
+
 int dispatch(const std::string& command,
              const std::map<std::string, std::string>& flags) {
-  if (command == "list-machines") return cmd_list_machines();
-  if (command == "collect-imb") return cmd_collect_imb(flags);
-  if (command == "collect-spec") return cmd_collect_spec(flags);
-  if (command == "profile") return cmd_profile(flags);
-  if (command == "project") return cmd_project(flags);
-  if (command == "batch") return cmd_batch(flags);
-  if (command == "sweep") return cmd_sweep(flags);
-  if (command == "serve") return cmd_serve(flags);
-  if (command == "request") return cmd_request(flags);
-  if (command == "stats") return cmd_stats(flags);
+  static const std::vector<Command> kCommands = {
+      {"list-machines", cmd_list_machines, {}},
+      {"collect-imb", cmd_collect_imb, {"machine", "out"}},
+      {"collect-spec", cmd_collect_spec, {"targets", "counts", "out"}},
+      {"profile", cmd_profile, {"app", "class", "threads", "counts", "out"}},
+      {"project", cmd_project,
+       {"target", "tasks", "cache-dir", "app", "class", "threads",
+        "app-data", "spec", "base-imb", "target-imb"}},
+      {"batch", cmd_batch,
+       {"requests", "cache-dir", "cache-dir-max-bytes", "out"}},
+      {"sweep", cmd_sweep,
+       {"spec", "cache-dir", "cache-dir-max-bytes", "out", "socket"}},
+      {"serve", cmd_serve,
+       {"socket", "cache-dir", "cache-dir-max-bytes", "max-queue",
+        "max-request-bytes", "coalesce-window"}},
+      {"request", cmd_request, {"socket", "requests", "out"}},
+      {"stats", cmd_stats,
+       {"metrics", "filter", "trace", "socket", "watch", "health",
+        "prometheus"}},
+  };
+  for (const Command& c : kCommands) {
+    if (command != c.name) continue;
+    for (const auto& [key, value] : flags) {
+      if (std::find(c.flags.begin(), c.flags.end(), key) == c.flags.end()) {
+        usage(command + " does not take --" + key);
+      }
+    }
+    return c.run(flags);
+  }
   usage("unknown command: " + command);
 }
 
