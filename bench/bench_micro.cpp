@@ -47,6 +47,15 @@ const core::SpecData& ga_spec_data() {
   return *data;
 }
 
+/// The GA benchmarks' index over `ga_spec_data()`, built once outside every
+/// timed loop.  The suite has no target runtimes, so it indexes against the
+/// base machine.
+const core::SpecIndex& ga_spec_index() {
+  static const core::SpecIndex* index =
+      new core::SpecIndex(ga_spec_data(), machine::make_power5_hydra().name);
+  return *index;
+}
+
 // Eight processes advance by the same step from staggered start times, so
 // every wake-up lands between two of the others': each advance is queued,
 // popped and resumed with a fiber switch (no inline wakes).
@@ -151,6 +160,7 @@ BENCHMARK(BM_LogLogTableLookup);
 void BM_GaSurrogateSearch(benchmark::State& state) {
   const machine::Machine base = machine::make_power5_hydra();
   const core::SpecData& spec = ga_spec_data();
+  const core::SpecIndex& index = ga_spec_index();
   const machine::PmuCounters app = spec.base_counters_st.at("zeusmp");
   const machine::PmuCounters app_smt = spec.base_counters_smt.at("zeusmp");
   const core::GroupWeights weights = core::base_group_weights(app, base);
@@ -159,7 +169,7 @@ void BM_GaSurrogateSearch(benchmark::State& state) {
   options.generations = 80;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::find_surrogate(app, app_smt, weights, spec, 100.0, options)
+        core::find_surrogate(app, app_smt, weights, index, 100.0, options)
             .fitness);
   }
 }
@@ -171,6 +181,7 @@ BENCHMARK(BM_GaSurrogateSearch);
 void BM_FindSurrogate(benchmark::State& state) {
   const machine::Machine base = machine::make_power5_hydra();
   const core::SpecData& spec = ga_spec_data();
+  const core::SpecIndex& index = ga_spec_index();
   const machine::PmuCounters app = spec.base_counters_st.at("zeusmp");
   const machine::PmuCounters app_smt = spec.base_counters_smt.at("zeusmp");
   const core::GroupWeights weights = core::base_group_weights(app, base);
@@ -178,7 +189,7 @@ void BM_FindSurrogate(benchmark::State& state) {
   set_thread_count(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::find_surrogate(app, app_smt, weights, spec, 100.0, options)
+        core::find_surrogate(app, app_smt, weights, index, 100.0, options)
             .fitness);
   }
   set_thread_count(0);
@@ -205,6 +216,7 @@ std::vector<double> ga_bench_genome(const core::SpecData& spec) {
 void BM_GaFitnessKernel(benchmark::State& state) {
   const machine::Machine base = machine::make_power5_hydra();
   const core::SpecData& spec = ga_spec_data();
+  const core::SpecIndex& index = ga_spec_index();
   const machine::PmuCounters app = spec.base_counters_st.at("zeusmp");
   const machine::PmuCounters app_smt = spec.base_counters_smt.at("zeusmp");
   const core::GroupWeights weights = core::base_group_weights(app, base);
@@ -213,7 +225,7 @@ void BM_GaFitnessKernel(benchmark::State& state) {
   constexpr int kEvals = 256;
   // Problem setup (signature conversion, interleaving, scales) happens once,
   // outside the timed region: the loop measures the kernels themselves.
-  const core::GaFitnessProber prober(app, app_smt, weights, spec, 100.0);
+  const core::GaFitnessProber prober(app, app_smt, weights, index, 100.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(prober.run(genome, kEvals, kernel));
   }
@@ -259,13 +271,14 @@ machine::PmuCounters ga_polish_app(
 void BM_GaPolish(benchmark::State& state) {
   const machine::Machine base = machine::make_power5_hydra();
   const core::SpecData& spec = ga_spec_data();
+  const core::SpecIndex& index = ga_spec_index();
   const machine::PmuCounters app = ga_polish_app(spec, spec.base_counters_st);
   const machine::PmuCounters app_smt =
       ga_polish_app(spec, spec.base_counters_smt);
   const core::GroupWeights weights = core::base_group_weights(app, base);
   const auto mode = static_cast<core::PolishMode>(state.range(0));
   constexpr int kMinSweeps = 32;
-  const core::GaFitnessProber prober(app, app_smt, weights, spec, 100.0);
+  const core::GaFitnessProber prober(app, app_smt, weights, index, 100.0);
   std::vector<double> converged;
   prober.run_polish(ga_bench_genome(spec), 0, core::PolishMode::kFullEval,
                     &converged);
@@ -280,12 +293,13 @@ BENCHMARK(BM_GaPolish)->Arg(0)->Arg(1);
 void BM_GaDeltaKernel(benchmark::State& state) {
   const machine::Machine base = machine::make_power5_hydra();
   const core::SpecData& spec = ga_spec_data();
+  const core::SpecIndex& index = ga_spec_index();
   const machine::PmuCounters app = spec.base_counters_st.at("zeusmp");
   const machine::PmuCounters app_smt = spec.base_counters_smt.at("zeusmp");
   const core::GroupWeights weights = core::base_group_weights(app, base);
   const std::vector<double> genome = ga_bench_genome(spec);
   constexpr int kScreens = 256;
-  const core::GaFitnessProber prober(app, app_smt, weights, spec, 100.0);
+  const core::GaFitnessProber prober(app, app_smt, weights, index, 100.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(prober.run_delta(genome, kScreens));
   }
@@ -363,6 +377,7 @@ BENCHMARK(BM_ObsSpan)->Arg(0)->Arg(1);
 void BM_GaSurrogateSearchObsEnabled(benchmark::State& state) {
   const machine::Machine base = machine::make_power5_hydra();
   const core::SpecData& spec = ga_spec_data();
+  const core::SpecIndex& index = ga_spec_index();
   const machine::PmuCounters app = spec.base_counters_st.at("zeusmp");
   const machine::PmuCounters app_smt = spec.base_counters_smt.at("zeusmp");
   const core::GroupWeights weights = core::base_group_weights(app, base);
@@ -373,7 +388,7 @@ void BM_GaSurrogateSearchObsEnabled(benchmark::State& state) {
   obs::set_tracing_enabled(true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::find_surrogate(app, app_smt, weights, spec, 100.0, options)
+        core::find_surrogate(app, app_smt, weights, index, 100.0, options)
             .fitness);
     benchmark::DoNotOptimize(obs::drain_trace().size());
   }
@@ -392,6 +407,7 @@ BENCHMARK(BM_GaSurrogateSearchObsEnabled);
 void BM_GaSurrogateSearchMetricsOn(benchmark::State& state) {
   const machine::Machine base = machine::make_power5_hydra();
   const core::SpecData& spec = ga_spec_data();
+  const core::SpecIndex& index = ga_spec_index();
   const machine::PmuCounters app = spec.base_counters_st.at("zeusmp");
   const machine::PmuCounters app_smt = spec.base_counters_smt.at("zeusmp");
   const core::GroupWeights weights = core::base_group_weights(app, base);
@@ -401,7 +417,7 @@ void BM_GaSurrogateSearchMetricsOn(benchmark::State& state) {
   obs::set_metrics_enabled(true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::find_surrogate(app, app_smt, weights, spec, 100.0, options)
+        core::find_surrogate(app, app_smt, weights, index, 100.0, options)
             .fitness);
   }
   obs::set_metrics_enabled(false);

@@ -26,15 +26,12 @@ const machine::PmuCounters& nearest_counters(
   return *best;
 }
 
-/// Shared pipeline; `index` is an optional prebuilt view over the same data
-/// as `spec` (the batched path), used to skip the GA's per-call table setup.
-ComputeProjection project_compute_impl(const AppBaseData& app,
-                                       const SpecData& spec,
-                                       const SpecIndex* index,
-                                       const machine::Machine& base,
-                                       const std::string& target_machine,
-                                       int ck,
-                                       const ComputeProjectionOptions& options) {
+}  // namespace
+
+ComputeProjection project_compute(const AppBaseData& app,
+                                  const SpecIndex& index,
+                                  const machine::Machine& base, int ck,
+                                  const ComputeProjectionOptions& options) {
   SWAPP_REQUIRE(!app.counters_st.empty(), "no ST counter profiles collected");
   SWAPP_REQUIRE(!app.counters_smt.empty(),
                 "no SMT counter profiles collected");
@@ -77,56 +74,26 @@ ComputeProjection project_compute_impl(const AppBaseData& app,
   {
     SWAPP_SPAN("compute.ranking");
     out.base_weights = base_group_weights(counters_st, base);
-    // The index overload reuses precomputed metric vectors and flat runtime
-    // arrays; bit-identical to the SpecData path (same shared core).
     out.adjusted_weights =
-        !options.use_rank_adjustment
-            ? out.base_weights
-            : (index ? adjust_weights_to_target(out.base_weights, *index)
-                     : adjust_weights_to_target(out.base_weights, spec,
-                                                target_machine));
+        options.use_rank_adjustment
+            ? adjust_weights_to_target(out.base_weights, index)
+            : out.base_weights;
   }
 
   // --- GA surrogate + Eq. 2 ---------------------------------------------------
   {
     SWAPP_SPAN("compute.surrogate_search");
-    out.surrogate =
-        index ? find_surrogate(counters_st, counters_smt, out.adjusted_weights,
-                               *index, out.base_compute, options.ga)
-              : find_surrogate(counters_st, counters_smt, out.adjusted_weights,
-                               spec, out.base_compute, options.ga);
+    out.surrogate = find_surrogate(counters_st, counters_smt,
+                                   out.adjusted_weights, index,
+                                   out.base_compute, options.ga);
   }
   {
     SWAPP_SPAN("compute.combine");
-    // Slot-based projection on the batched path: GA terms carry their suite
-    // slot, so Eq. 2 sums straight out of the index's target-runtime array.
-    out.target_compute = index
-                             ? out.surrogate.project_runtime(*index)
-                             : out.surrogate.project_runtime(spec,
-                                                             target_machine);
+    out.target_compute = out.surrogate.project_runtime(index);
   }
   SWAPP_ASSERT(out.target_compute > 0.0,
                "surrogate projected non-positive compute time");
   return out;
-}
-
-}  // namespace
-
-ComputeProjection project_compute(const AppBaseData& app, const SpecData& spec,
-                                  const machine::Machine& base,
-                                  const std::string& target_machine, int ck,
-                                  const ComputeProjectionOptions& options) {
-  return project_compute_impl(app, spec, nullptr, base, target_machine, ck,
-                              options);
-}
-
-ComputeProjection project_compute(const AppBaseData& app,
-                                  const SpecIndex& index,
-                                  const machine::Machine& base,
-                                  const std::string& target_machine, int ck,
-                                  const ComputeProjectionOptions& options) {
-  return project_compute_impl(app, index.data, &index, base, target_machine,
-                              ck, options);
 }
 
 }  // namespace swapp::core

@@ -10,8 +10,6 @@
 // profiled, CCSM-fitted otherwise), which is exactly γ · T(C_ref).
 #pragma once
 
-#include <string>
-
 #include "core/acsm.h"
 #include "core/ccsm.h"
 #include "core/ga.h"
@@ -59,18 +57,12 @@ struct ComputeProjection {
   }
 };
 
-ComputeProjection project_compute(const AppBaseData& app, const SpecData& spec,
-                                  const machine::Machine& base,
-                                  const std::string& target_machine, int ck,
-                                  const ComputeProjectionOptions& options);
-
-/// Same projection over a prebuilt `SpecIndex` (shared, read-only): skips
-/// the per-call benchmark-table setup.  Bit-identical to the `SpecData`
-/// overload built from the same library view.
+/// Projects `app`'s per-task compute time at `ck` tasks onto the index's
+/// target machine.  `index` must hold the benchmark data at the job's
+/// occupancy pair (`SpecIndex::for_demand`).
 ComputeProjection project_compute(const AppBaseData& app,
                                   const SpecIndex& index,
-                                  const machine::Machine& base,
-                                  const std::string& target_machine, int ck,
+                                  const machine::Machine& base, int ck,
                                   const ComputeProjectionOptions& options);
 
 }  // namespace swapp::core

@@ -14,23 +14,6 @@
 
 namespace swapp::core {
 
-Seconds Surrogate::project_runtime(const SpecData& spec,
-                                   const std::string& machine_name) const {
-  Seconds total = 0.0;
-  for (const SurrogateTerm& t : terms) {
-    total += t.weight * spec.runtime_on(machine_name, t.benchmark);
-  }
-  return total;
-}
-
-Seconds Surrogate::base_runtime(const SpecData& spec) const {
-  Seconds total = 0.0;
-  for (const SurrogateTerm& t : terms) {
-    total += t.weight * spec.base_runtime.at(t.benchmark);
-  }
-  return total;
-}
-
 Seconds Surrogate::project_runtime(const SpecIndex& index) const {
   Seconds total = 0.0;
   for (const SurrogateTerm& t : terms) {
@@ -65,7 +48,7 @@ struct Problem {
   double app_compute = 0.0;
   double lambda = 2.0;
   /// Pair-interleaved copy of the arrays above; the production evaluation
-  /// path.  Built once per problem by finish_problem.
+  /// path.  Built once per problem by build_problem.
   GaEvalEngine engine;
 
   std::size_t size() const { return bench_base_time.size(); }
@@ -252,14 +235,18 @@ double polish_genome(const Problem& prob, Genome& polished,
   return polished_fit;
 }
 
-/// Fills the application-side fields and the per-metric scales; the
-/// benchmark arrays must already be in place.
-void finish_problem(Problem& prob, const machine::PmuCounters& app_st,
-                    const machine::PmuCounters& app_smt,
-                    const GroupWeights& weights, Seconds app_base_compute,
-                    const GaOptions& options) {
+/// The suite's arrays from `index`, the application-side fields and the
+/// per-metric scales.
+Problem build_problem(const machine::PmuCounters& app_st,
+                      const machine::PmuCounters& app_smt,
+                      const GroupWeights& weights, const SpecIndex& index,
+                      Seconds app_base_compute, const GaOptions& options) {
   SWAPP_REQUIRE(app_base_compute > 0.0,
                 "application base compute time must be positive");
+  Problem prob;
+  prob.bench_st = index.bench_st;
+  prob.bench_smt = index.bench_smt;
+  prob.bench_base_time = index.base_time;
   prob.app_st = machine::MetricVector::from_counters(app_st);
   prob.app_smt = machine::MetricVector::from_counters(app_smt);
   prob.app_compute = app_base_compute;
@@ -280,42 +267,12 @@ void finish_problem(Problem& prob, const machine::PmuCounters& app_st,
   prob.engine.build(prob.bench_st, prob.bench_smt, prob.bench_base_time,
                     prob.app_st, prob.app_smt, prob.scale, prob.metric_weight,
                     prob.app_compute, prob.lambda);
-}
-
-Problem build_problem(const machine::PmuCounters& app_st,
-                      const machine::PmuCounters& app_smt,
-                      const GroupWeights& weights, const SpecData& spec,
-                      Seconds app_base_compute, const GaOptions& options) {
-  SWAPP_REQUIRE(!spec.names.empty(), "empty benchmark suite");
-  Problem prob;
-  for (const std::string& name : spec.names) {
-    prob.bench_st.push_back(
-        machine::MetricVector::from_counters(spec.base_counters_st.at(name)));
-    prob.bench_smt.push_back(
-        machine::MetricVector::from_counters(spec.base_counters_smt.at(name)));
-    prob.bench_base_time.push_back(spec.base_runtime.at(name));
-  }
-  finish_problem(prob, app_st, app_smt, weights, app_base_compute, options);
-  return prob;
-}
-
-Problem build_problem(const machine::PmuCounters& app_st,
-                      const machine::PmuCounters& app_smt,
-                      const GroupWeights& weights, const SpecIndex& index,
-                      Seconds app_base_compute, const GaOptions& options) {
-  SWAPP_REQUIRE(index.size() > 0, "empty benchmark suite");
-  Problem prob;
-  // The index's arrays hold exactly what the map walk above would produce
-  // (same suite order, same conversions), so this is a plain copy.
-  prob.bench_st = index.bench_st;
-  prob.bench_smt = index.bench_smt;
-  prob.bench_base_time = index.base_time;
-  finish_problem(prob, app_st, app_smt, weights, app_base_compute, options);
   return prob;
 }
 
 /// One GA run over a pre-built (shared, read-only) Problem.
-Surrogate find_surrogate_once(const Problem& prob, const SpecData& spec,
+Surrogate find_surrogate_once(const Problem& prob,
+                              const std::vector<std::string>& names,
                               const GaOptions& options) {
   SWAPP_SPAN("ga.restart");
   std::uint64_t evals = 0;  // exact engine evaluations, flushed on exit
@@ -488,7 +445,7 @@ Surrogate find_surrogate_once(const Problem& prob, const SpecData& spec,
                              &out.runtime_error);
   for (const std::size_t k : polished_nz) {
     if (g[k] > 0.0) {
-      out.terms.push_back(SurrogateTerm{spec.names[k], g[k], k});
+      out.terms.push_back(SurrogateTerm{names[k], g[k], k});
     }
   }
   SWAPP_ASSERT(!out.terms.empty(), "GA produced an empty surrogate");
@@ -496,7 +453,8 @@ Surrogate find_surrogate_once(const Problem& prob, const SpecData& spec,
 }
 
 /// Restart fan-out + bagging merge over a prebuilt problem.
-Surrogate search_and_merge(const Problem& prob, const SpecData& spec,
+Surrogate search_and_merge(const Problem& prob,
+                           const std::vector<std::string>& names,
                            Seconds app_base_compute,
                            const GaOptions& options) {
   SWAPP_SPAN("ga.search");
@@ -514,7 +472,7 @@ Surrogate search_and_merge(const Problem& prob, const SpecData& spec,
         GaOptions run = options;
         run.seed = options.seed +
                    0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(r);
-        return find_surrogate_once(prob, spec, run);
+        return find_surrogate_once(prob, names, run);
       });
 
   double best_fitness = runs.front().fitness;
@@ -573,20 +531,11 @@ Surrogate search_and_merge(const Problem& prob, const SpecData& spec,
 
 Surrogate find_surrogate(const machine::PmuCounters& app_st,
                          const machine::PmuCounters& app_smt,
-                         const GroupWeights& weights, const SpecData& spec,
-                         Seconds app_base_compute, const GaOptions& options) {
-  const Problem prob = build_problem(app_st, app_smt, weights, spec,
-                                     app_base_compute, options);
-  return search_and_merge(prob, spec, app_base_compute, options);
-}
-
-Surrogate find_surrogate(const machine::PmuCounters& app_st,
-                         const machine::PmuCounters& app_smt,
                          const GroupWeights& weights, const SpecIndex& index,
                          Seconds app_base_compute, const GaOptions& options) {
   const Problem prob = build_problem(app_st, app_smt, weights, index,
                                      app_base_compute, options);
-  return search_and_merge(prob, index.data, app_base_compute, options);
+  return search_and_merge(prob, index.names, app_base_compute, options);
 }
 
 struct GaFitnessProber::Impl {
@@ -599,9 +548,9 @@ struct GaFitnessProber::Impl {
 GaFitnessProber::GaFitnessProber(const machine::PmuCounters& app_st,
                                  const machine::PmuCounters& app_smt,
                                  const GroupWeights& weights,
-                                 const SpecData& spec,
+                                 const SpecIndex& index,
                                  Seconds app_base_compute)
-    : impl_(new Impl{build_problem(app_st, app_smt, weights, spec,
+    : impl_(new Impl{build_problem(app_st, app_smt, weights, index,
                                    app_base_compute, GaOptions{}),
                      {}}) {}
 

@@ -28,9 +28,8 @@ struct SurrogateTerm {
   std::string benchmark;
   double weight = 0.0;
   /// Position of `benchmark` in the suite order the search ran over
-  /// (SpecData::names / SpecIndex slot k); kNoSlot for terms constructed
-  /// outside the GA.  Lets hot paths resolve runtimes by array index
-  /// instead of a string-map lookup per term.
+  /// (SpecIndex slot k); kNoSlot for terms constructed outside the GA.
+  /// Eq. 2 resolves runtimes through it.
   std::size_t slot = kNoSlot;
 
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
@@ -43,17 +42,10 @@ struct Surrogate {
   double metric_distance = 0.0;  ///< rank-weighted signature distance
   double runtime_error = 0.0;    ///< relative base-runtime mismatch
 
-  /// Σ w_k · runtime of benchmark k on `machine_name` (Eq. 2 applied).
-  Seconds project_runtime(const SpecData& spec,
-                          const std::string& machine_name) const;
-  /// Σ w_k · T_k(base).
-  Seconds base_runtime(const SpecData& spec) const;
-
-  /// Index-based overloads for the hot ranking/merge paths: terms resolve
-  /// through their suite slots into the index's flat runtime arrays (no
-  /// string-map lookup per term).  Bit-identical to the string versions for
-  /// GA-produced surrogates; requires every term to carry a valid slot.
+  /// Σ w_k · runtime of benchmark k on the index's target (Eq. 2 applied).
+  /// Terms resolve through their suite slots, so every term must carry one.
   Seconds project_runtime(const SpecIndex& index) const;
+  /// Σ w_k · T_k(base).
   Seconds base_runtime(const SpecIndex& index) const;
 };
 
@@ -69,17 +61,8 @@ struct GaOptions {
 /// Runs the search.  `app_st`/`app_smt` are the application's counters on
 /// the base machine in the two SMT modes; `weights` are the (target-adjusted)
 /// metric-group weights; `app_base_compute` is the application's per-task
-/// compute time on the base machine at the reference task count.
-Surrogate find_surrogate(const machine::PmuCounters& app_st,
-                         const machine::PmuCounters& app_smt,
-                         const GroupWeights& weights, const SpecData& spec,
-                         Seconds app_base_compute,
-                         const GaOptions& options = {});
-
-/// Same search over a prebuilt `SpecIndex`: the benchmark metric vectors and
-/// runtimes are copied from the index's arrays instead of being re-derived
-/// from the string-keyed maps, which is what makes batched projections cheap
-/// to set up.  Bit-identical to the `SpecData` overload for the same inputs.
+/// compute time on the base machine at the reference task count.  The
+/// suite's metric vectors and base runtimes come from `index`.
 Surrogate find_surrogate(const machine::PmuCounters& app_st,
                          const machine::PmuCounters& app_smt,
                          const GroupWeights& weights, const SpecIndex& index,
@@ -119,12 +102,12 @@ class GaFitnessProber {
  public:
   GaFitnessProber(const machine::PmuCounters& app_st,
                   const machine::PmuCounters& app_smt,
-                  const GroupWeights& weights, const SpecData& spec,
+                  const GroupWeights& weights, const SpecIndex& index,
                   Seconds app_base_compute);
   ~GaFitnessProber();
 
   /// Evaluates the objective on `genome` (one weight per suite benchmark,
-  /// in `spec.names` order) `iters` times — each iteration perturbing one
+  /// in `index.names` order) `iters` times — each iteration perturbing one
   /// weight by a structure-preserving nudge — and returns the accumulated
   /// value.  Both kernels must return bit-identical accumulations for the
   /// same inputs (tests/test_ga_eval.cpp asserts exactly that).

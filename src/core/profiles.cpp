@@ -82,21 +82,4 @@ SpecData SpecLibrary::view(int base_occupancy,
   return out;
 }
 
-Seconds SpecData::runtime_on(const std::string& machine_name,
-                             const std::string& benchmark) const {
-  const auto base_it = base_runtime.find(benchmark);
-  if (base_it == base_runtime.end()) {
-    throw NotFound("unknown benchmark: " + benchmark);
-  }
-  const auto machine_it = target_runtime.find(machine_name);
-  if (machine_it == target_runtime.end()) {
-    throw NotFound("no benchmark runtimes for machine: " + machine_name);
-  }
-  const auto it = machine_it->second.find(benchmark);
-  if (it == machine_it->second.end()) {
-    throw NotFound("no runtime of " + benchmark + " on " + machine_name);
-  }
-  return it->second;
-}
-
 }  // namespace swapp::core

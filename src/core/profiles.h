@@ -45,7 +45,7 @@ struct AppBaseData {
 };
 
 /// SPEC-style benchmark data at one fixed node occupancy per machine: the
-/// flat view the ranking and the surrogate search consume.
+/// flat view a `SpecIndex` is constructed from.
 struct SpecData {
   std::vector<std::string> names;
   std::map<std::string, machine::PmuCounters> base_counters_st;
@@ -53,9 +53,6 @@ struct SpecData {
   std::map<std::string, Seconds> base_runtime;
   /// machine name -> benchmark name -> runtime.
   std::map<std::string, std::map<std::string, Seconds>> target_runtime;
-
-  Seconds runtime_on(const std::string& machine_name,
-                     const std::string& benchmark) const;
 };
 
 /// The full benchmark library: SPEC-style throughput ("rate") data at every

@@ -103,21 +103,6 @@ void Projector::add_target(const std::string& machine_name,
   target_imb_.emplace(machine_name, std::move(imb));
 }
 
-SpecData Projector::spec_view(const std::string& target_machine, int ck,
-                              int threads_per_rank) const {
-  SWAPP_REQUIRE(threads_per_rank >= 1, "threads_per_rank must be >= 1");
-  const auto target_it = spec_.targets.find(target_machine);
-  if (target_it == spec_.targets.end()) {
-    throw NotFound("SpecLibrary has no target: " + target_machine);
-  }
-  // A hybrid job occupies ck · threads hardware threads under block
-  // placement, capped by the node size on each machine.
-  const int demand = ck * threads_per_rank;
-  return spec_.view(
-      SpecLibrary::occupancy_for(demand, base_.cores_per_node), target_machine,
-      SpecLibrary::occupancy_for(demand, target_it->second.cores_per_node));
-}
-
 ProjectionResult Projector::project(const AppBaseData& app,
                                     const std::string& target_machine, int ck,
                                     const ProjectionOptions& options) const {
@@ -131,12 +116,12 @@ ProjectionResult Projector::project(const AppBaseData& app,
   // γ-rescaled to ck.
   const int reference = options.compute.surrogate_reference_cores;
   const int search_ck = reference > 0 ? reference : ck;
-  const SpecData view =
-      spec_view(target_machine, search_ck, app.threads_per_rank);
+  const SpecIndex index =
+      SpecIndex::for_demand(spec_, base_.cores_per_node, target_machine,
+                            search_ck * app.threads_per_rank);
   return project_from_surrogate(
       app, target_machine, ck, search_ck,
-      project_compute(app, view, base_, target_machine, search_ck,
-                      options.compute),
+      project_compute(app, index, base_, search_ck, options.compute),
       base_imb_, imb_it->second, options);
 }
 

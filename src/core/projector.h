@@ -3,13 +3,13 @@
 // Quickstart:
 //
 //   using namespace swapp;
-//   core::Projector projector(base_machine, spec_data, base_imb);
+//   core::Projector projector(base_machine, spec_library, base_imb);
 //   projector.add_target("IBM POWER6 575", p6_imb);
 //   core::ProjectionResult r =
 //       projector.project(app_base_data, "IBM POWER6 575", /*ck=*/128);
 //   std::cout << r.total_target() << "\n";
 //
-// `spec_data` must contain benchmark runtimes for every added target (the
+// `spec_library` must contain benchmark runtimes for every added target (the
 // "published data" of §2.3 step 1); `app_base_data` holds only base-machine
 // application profiles.  The projector never touches a target-machine
 // application run.
@@ -97,12 +97,6 @@ class Projector {
 
   const machine::Machine& base() const noexcept { return base_; }
   const SpecLibrary& spec() const noexcept { return spec_; }
-
-  /// The flat benchmark-data view a projection at `ck` onto
-  /// `target_machine` consumes (occupancy-matched on both machines;
-  /// hybrid jobs occupy ck · threads hardware threads).
-  SpecData spec_view(const std::string& target_machine, int ck,
-                     int threads_per_rank = 1) const;
 
   /// Projects `app` onto `target_machine` at task count `ck`.
   /// Searches at the options' reference count when one is pinned, else at

@@ -70,31 +70,21 @@ GroupWeights base_group_weights(const machine::PmuCounters& app,
   return out;
 }
 
-namespace {
-
-/// Shared step-4 core over the precomputed suite decomposition plus base
-/// and target runtimes for each benchmark k.  Both public overloads reduce
-/// to this — the `SpecData` path computes the decomposition on the fly,
-/// the `SpecIndex` path reuses the one `SpecIndex::build` cached — so the
-/// two are bit-identical by construction (same additions, same order, same
-/// expression shapes; `compute_suite_intensity` preserves the loop order
-/// of the code it replaced).  Only the speedup-weighted pass below depends
-/// on the target, so it is all a cached call pays for.
-GroupWeights adjust_weights_impl(const GroupWeights& base_weights,
-                                 const SuiteIntensity& suite,
-                                 const double* base_time,
-                                 const double* target_time) {
-  const std::size_t n = suite.size();
+GroupWeights adjust_weights_to_target(const GroupWeights& base_weights,
+                                      const SpecIndex& index) {
+  // The suite decomposition is target-independent and precomputed by the
+  // index; only the speedup-weighted pass below depends on the target.
+  const std::size_t n = index.size();
 
   // Suite-wide mean speedup and per-group intensity-weighted mean speedup.
   double mean_speedup = 0.0;
   std::array<double, machine::kMetricGroupCount> weighted_speedup{};
   std::array<double, machine::kMetricGroupCount> intensity_sum{};
   for (std::size_t k = 0; k < n; ++k) {
-    const double speedup = base_time[k] / target_time[k];
+    const double speedup = index.base_time[k] / index.target_time[k];
     mean_speedup += speedup;
     const std::array<double, machine::kMetricGroupCount>& intensity =
-        suite.bench[k];
+        index.intensity.bench[k];
     for (std::size_t g = 0; g < machine::kMetricGroupCount; ++g) {
       weighted_speedup[g] += intensity[g] * speedup;
       intensity_sum[g] += intensity[g];
@@ -120,43 +110,6 @@ GroupWeights adjust_weights_impl(const GroupWeights& base_weights,
   SWAPP_ASSERT(total > 0.0, "adjusted weights vanished");
   for (double& w : out.weight) w /= total;
   return out;
-}
-
-}  // namespace
-
-GroupWeights adjust_weights_to_target(const GroupWeights& base_weights,
-                                      const SpecData& spec,
-                                      const std::string& target_machine) {
-  SWAPP_REQUIRE(!spec.names.empty(), "empty benchmark suite");
-  std::vector<machine::MetricVector> vectors;
-  std::vector<double> base_time;
-  std::vector<double> target_time;
-  vectors.reserve(spec.names.size());
-  base_time.reserve(spec.names.size());
-  target_time.reserve(spec.names.size());
-  for (const std::string& name : spec.names) {
-    vectors.push_back(machine::MetricVector::from_counters(
-        spec.base_counters_st.at(name)));
-    base_time.push_back(spec.base_runtime.at(name));
-    target_time.push_back(spec.runtime_on(target_machine, name));
-  }
-  return adjust_weights_impl(base_weights, compute_suite_intensity(vectors),
-                             base_time.data(), target_time.data());
-}
-
-GroupWeights adjust_weights_to_target(const GroupWeights& base_weights,
-                                      const SpecIndex& index) {
-  SWAPP_REQUIRE(index.size() > 0, "empty benchmark suite");
-  // `SpecIndex::build` caches the decomposition; hand-assembled indexes
-  // (tests) may lack it, in which case it is derived on the fly.
-  if (index.intensity.size() == index.size()) {
-    return adjust_weights_impl(base_weights, index.intensity,
-                               index.base_time.data(),
-                               index.target_time.data());
-  }
-  return adjust_weights_impl(base_weights,
-                             compute_suite_intensity(index.bench_st),
-                             index.base_time.data(), index.target_time.data());
 }
 
 }  // namespace swapp::core

@@ -12,9 +12,7 @@
 #pragma once
 
 #include <array>
-#include <string>
 
-#include "core/profiles.h"
 #include "core/spec_index.h"
 #include "machine/counters.h"
 #include "machine/machine.h"
@@ -37,16 +35,8 @@ struct GroupWeights {
 GroupWeights base_group_weights(const machine::PmuCounters& app,
                                 const machine::Machine& base);
 
-/// Step 4: adjusts base weights to the target machine using benchmark
-/// counter signatures (base) and benchmark runtimes (base and target).
-GroupWeights adjust_weights_to_target(const GroupWeights& base_weights,
-                                      const SpecData& spec,
-                                      const std::string& target_machine);
-
-/// Same adjustment over a prebuilt `SpecIndex` (target machine implied by
-/// the index): the precomputed metric vectors and flat runtime arrays stand
-/// in for the per-call counter conversions and string-map lookups.
-/// Bit-identical to the `SpecData` overload for the same underlying data.
+/// Step 4: adjusts base weights to the index's target machine using the
+/// benchmarks' counter signatures (base) and runtimes (base and target).
 GroupWeights adjust_weights_to_target(const GroupWeights& base_weights,
                                       const SpecIndex& index);
 

@@ -1,16 +1,12 @@
-// Indexed benchmark-data view for batched projections.
+// The benchmark view the compute projection reads.
 //
-// `SpecLibrary::view` flattens the occupancy-keyed library into the
-// string-keyed `SpecData` maps every projection call consumes, and the GA
-// then converts each benchmark's counters into a `MetricVector`.  Done per
-// `Projector::project` call that work is pure overhead: the flattening and
-// the conversions depend only on (target machine, base occupancy, target
-// occupancy), never on the application.  A `SpecIndex` performs both once
-// and keeps the results in suite-ordered arrays — the "arena" the batched
-// engine shares across every request that projects against the same
-// (target, occupancy) pair.  The arrays hold exactly the values the
-// per-call path would recompute, so projections built on an index are
-// bit-identical to projections built on a fresh `SpecData` view.
+// A projection compares the application against SPEC-style benchmark data at
+// one (base occupancy, target occupancy) pair (paper §2.3 step 1).  A
+// `SpecIndex` holds that data in suite-ordered arrays: the ranking's step 4,
+// the GA surrogate search and Eq. 2 all read it, and nothing else.  Every
+// index comes from one constructor over a flat `SpecData` view, so the
+// metric-vector conversions and the suite intensity decomposition are done
+// once per index, never per stage.
 #pragma once
 
 #include <array>
@@ -26,12 +22,9 @@ namespace swapp::core {
 /// (`adjust_weights_to_target`): the per-metric normalisation scale (suite
 /// mean, floored) plus each benchmark's per-group normalised intensity.  A
 /// pure function of the suite's ST metric vectors — independent of the
-/// application and of the target runtimes — so `SpecIndex::build`
-/// precomputes it once and every adjustment against the index (one per
-/// request in a batch) skips the O(n·M) recompute and runs only the
-/// speedup-weighted pass.  Computed with exactly the loop order the
-/// previously-inline code used, so cached and uncached paths are
-/// bit-identical.
+/// application and of the target runtimes — so the index computes it once
+/// and every adjustment against the index runs only the speedup-weighted
+/// pass.
 struct SuiteIntensity {
   std::array<double, machine::kMetricCount> scale{};
   /// bench[k][g] = Σ over metrics i in group g of vectors[k][i] / scale[i].
@@ -40,46 +33,38 @@ struct SuiteIntensity {
   std::size_t size() const noexcept { return bench.size(); }
 };
 
-/// Builds the decomposition from suite-ordered ST metric vectors.
-SuiteIntensity compute_suite_intensity(
-    const std::vector<machine::MetricVector>& vectors);
-
 struct SpecIndex {
   std::string target_machine;
-  int base_occupancy = 0;
-  int target_occupancy = 0;
 
-  /// The flattened view, built once (compatibility with every API that
-  /// consumes `SpecData`).
-  SpecData data;
-
-  // Suite-ordered arrays (index k == position of data.names[k]): the GA's
-  // working set, precomputed so `build_problem` is a copy instead of a walk
-  // over three string-keyed maps.
+  // Suite-ordered arrays: slot k is benchmark names[k].
+  std::vector<std::string> names;
   std::vector<machine::MetricVector> bench_st;
   std::vector<machine::MetricVector> bench_smt;
   std::vector<double> base_time;
   std::vector<double> target_time;
 
-  /// Precomputed ranking-step-4 decomposition over `bench_st` (see
-  /// SuiteIntensity above).  `adjust_weights_to_target(…, index)` consults
-  /// it when its size matches the suite and recomputes otherwise, so
-  /// hand-assembled indexes stay valid.
+  /// Ranking-step-4 decomposition over `bench_st` (see SuiteIntensity).
   SuiteIntensity intensity;
+
+  /// The one constructor: indexes `view` against `target_machine`'s
+  /// runtimes.  A view with no target runtimes at all (a hand-built
+  /// synthetic suite) takes its base runtimes as the target.
+  SpecIndex(const SpecData& view, std::string target_machine);
 
   std::size_t size() const noexcept { return base_time.size(); }
 
-  /// Flattens `lib` at the given occupancy pair and precomputes the arrays.
+  /// The index over `lib.view(base_occupancy, target_machine,
+  /// target_occupancy)`.
   static SpecIndex build(const SpecLibrary& lib,
                          const std::string& target_machine, int base_occupancy,
                          int target_occupancy);
 
-  /// Cache key for one (target, occupancy) pair.
-  static std::string key_of(const std::string& target_machine,
-                            int base_occupancy, int target_occupancy);
-  std::string key() const {
-    return key_of(target_machine, base_occupancy, target_occupancy);
-  }
+  /// The index a projection onto `target_machine` reads when the job
+  /// occupies `demand` hardware threads (tasks · threads per task) under
+  /// block placement: each machine's occupancy is the demand capped at its
+  /// node size.
+  static SpecIndex for_demand(const SpecLibrary& lib, int base_cores_per_node,
+                              const std::string& target_machine, int demand);
 };
 
 }  // namespace swapp::core

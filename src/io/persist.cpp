@@ -1,5 +1,6 @@
 #include "io/persist.h"
 
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -371,6 +372,11 @@ core::ComputeProjection read_compute_projection(std::istream& is) {
       p.hyper_scaling_cores = r.num(2);
       p.gamma = r.num(3);
       p.extrapolated_counters = r.integer(4) != 0;
+      // project_compute writes only finite positive anchors, and a zero
+      // base anchor would silently turn compute_scale() into 1.
+      const auto valid = [](double v) { return std::isfinite(v) && v > 0.0; };
+      SWAPP_REQUIRE(valid(p.target_compute) && valid(p.base_compute),
+                    "swapp-surrogate anchor needs positive compute times");
       have_anchor = true;
     } else if (r.tag == "fit") {
       p.surrogate.fitness = r.num(0);

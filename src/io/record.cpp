@@ -95,20 +95,24 @@ const std::string& Record::str(std::size_t i) const {
 
 double Record::num(std::size_t i) const {
   const std::string& f = str(i);
+  std::size_t used = 0;
   try {
-    return std::stod(f);
+    const double v = std::stod(f, &used);
+    if (used == f.size()) return v;
   } catch (const std::exception&) {
-    throw InvalidArgument("expected a number, got: " + f);
   }
+  throw InvalidArgument("expected a number, got: " + f);
 }
 
 std::int64_t Record::integer(std::size_t i) const {
   const std::string& f = str(i);
+  std::size_t used = 0;
   try {
-    return std::stoll(f);
+    const std::int64_t v = std::stoll(f, &used);
+    if (used == f.size()) return v;
   } catch (const std::exception&) {
-    throw InvalidArgument("expected an integer, got: " + f);
   }
+  throw InvalidArgument("expected an integer, got: " + f);
 }
 
 namespace {

@@ -51,7 +51,10 @@ struct Record {
   std::vector<std::string> fields;
 
   const std::string& str(std::size_t i) const;
+  /// Field `i` as a number; the whole field must parse (`inf` included),
+  /// else InvalidArgument.
   double num(std::size_t i) const;
+  /// Field `i` as a decimal integer; the whole field must parse.
   std::int64_t integer(std::size_t i) const;
 };
 

@@ -14,8 +14,8 @@
 //   * One scheduler, which drains *everything* queued at once and executes
 //     it as a single coalesced `ProjectionService` run.  Batches that arrive
 //     while a run is in flight pile up and form the next coalesced run, so
-//     the planner's dedup (shared spec indexes, shared GA surrogate
-//     searches) works across clients that never heard of each other.
+//     the planner's dedup (shared artifacts, shared GA surrogate searches)
+//     works across clients that never heard of each other.
 //
 // All runs share one resident `ArtifactCache` (ServiceConfig::shared_cache),
 // making the daemon the single process that touches the cache directory —
@@ -65,7 +65,7 @@ struct ServerConfig {
   std::size_t coalesce_min = 1;
   /// Once the scheduler has work, it lingers up to this long before
   /// draining so near-simultaneous clients land in the same coalesced run
-  /// (and share the planner's spec-index/GA-search dedup).  The window is a
+  /// (and share the planner's artifact and GA-search dedup).  The window is a
   /// latency ceiling, not a floor: shutdown cuts it short, and 0 — the
   /// default — preserves the eager drain.
   std::chrono::milliseconds coalesce_window{0};

@@ -241,21 +241,12 @@ ArtifactResolver::Run::searches(const std::vector<SearchJob>& jobs) {
             key.str(),
             [&] {
               ran.fetch_add(1, std::memory_order_relaxed);
-              const core::SpecLibrary& lib = *job.library->data;
-              const auto target_it = lib.targets.find(job.target);
-              SWAPP_REQUIRE(target_it != lib.targets.end(),
-                            "collected library has no target: " + job.target);
-              // A job occupies search_ck · threads hardware threads under
-              // block placement, capped by the node size on each machine.
-              const int demand = job.search_ck * job.threads;
-              const core::SpecIndex index = core::SpecIndex::build(
-                  lib, job.target,
-                  core::SpecLibrary::occupancy_for(demand, base.cores_per_node),
-                  core::SpecLibrary::occupancy_for(
-                      demand, target_it->second.cores_per_node));
+              // A job occupies search_ck · threads hardware threads.
+              const core::SpecIndex index = core::SpecIndex::for_demand(
+                  *job.library->data, base.cores_per_node, job.target,
+                  job.search_ck * job.threads);
               return core::project_compute(*job.app->data, index, base,
-                                           job.target, job.search_ck,
-                                           job.options);
+                                           job.search_ck, job.options);
             },
             source);
       },

@@ -9,6 +9,7 @@
 #include "core/ga.h"
 #include "core/profiles.h"
 #include "core/ranking.h"
+#include "core/spec_index.h"
 #include "machine/machine.h"
 #include "support/error.h"
 
@@ -159,6 +160,7 @@ SpecData synthetic_spec() {
 
 TEST(Ga, RecoversExactMemberMatch) {
   const SpecData spec = synthetic_spec();
+  const SpecIndex index(spec, "target");
   // The application is exactly "mid" with twice the runtime.
   machine::PmuCounters app = spec.base_counters_st.at("mid");
   machine::PmuCounters app_smt = spec.base_counters_smt.at("mid");
@@ -167,15 +169,16 @@ TEST(Ga, RecoversExactMemberMatch) {
   GaOptions options;
   options.seed = 1234;
   const Surrogate s =
-      find_surrogate(app, app_smt, weights, spec, 200.0, options);
+      find_surrogate(app, app_smt, weights, index, 200.0, options);
   // Base-runtime consistency holds by construction.
-  EXPECT_NEAR(s.base_runtime(spec), 200.0, 1.0);
+  EXPECT_NEAR(s.base_runtime(index), 200.0, 1.0);
   // Projection lands near "mid"'s speedup (2.5×): 200/2.5 = 80.
-  EXPECT_NEAR(s.project_runtime(spec, "target"), 80.0, 12.0);
+  EXPECT_NEAR(s.project_runtime(index), 80.0, 12.0);
 }
 
 TEST(Ga, DeterministicForSeed) {
   const SpecData spec = synthetic_spec();
+  const SpecIndex index(spec, "target");
   const machine::PmuCounters app = spec.base_counters_st.at("slow");
   const machine::PmuCounters app_smt = spec.base_counters_smt.at("slow");
   GroupWeights weights;
@@ -183,9 +186,9 @@ TEST(Ga, DeterministicForSeed) {
   GaOptions options;
   options.seed = 77;
   const Surrogate a =
-      find_surrogate(app, app_smt, weights, spec, 100.0, options);
+      find_surrogate(app, app_smt, weights, index, 100.0, options);
   const Surrogate b =
-      find_surrogate(app, app_smt, weights, spec, 100.0, options);
+      find_surrogate(app, app_smt, weights, index, 100.0, options);
   ASSERT_EQ(a.terms.size(), b.terms.size());
   for (std::size_t i = 0; i < a.terms.size(); ++i) {
     EXPECT_EQ(a.terms[i].benchmark, b.terms[i].benchmark);
@@ -201,9 +204,25 @@ TEST(Ga, RespectsSparsityCap) {
   GaOptions options;
   options.max_terms = 2;
   options.restarts = 1;
+  const SpecIndex index(spec, "target");
   const Surrogate s = find_surrogate(app, spec.base_counters_smt.at("mid"),
-                                     weights, spec, 100.0, options);
+                                     weights, index, 100.0, options);
   EXPECT_LE(s.terms.size(), 2u);
+}
+
+TEST(SpecIndex, IndexesAViewAgainstItsTarget) {
+  const SpecData spec = synthetic_spec();
+  const SpecIndex index(spec, "target");
+  EXPECT_EQ(index.names, spec.names);
+  EXPECT_EQ(index.base_time, (std::vector<double>{50.0, 200.0, 100.0}));
+  EXPECT_EQ(index.target_time, (std::vector<double>{12.5, 133.0, 40.0}));
+  EXPECT_EQ(index.intensity.size(), spec.names.size());
+  EXPECT_THROW(SpecIndex(spec, "elsewhere"), NotFound);
+  // A synthetic suite without target runtimes projects onto its own base.
+  SpecData base_only = spec;
+  base_only.target_runtime.clear();
+  EXPECT_EQ(SpecIndex(base_only, "base").target_time, index.base_time);
+  EXPECT_THROW(SpecIndex(SpecData{}, "base"), InvalidArgument);
 }
 
 TEST(SpecLibrary, ViewSelectsOccupancy) {
@@ -226,7 +245,7 @@ TEST(SpecLibrary, ViewSelectsOccupancy) {
 
   const SpecData exact = lib.view(16, "t", 4);
   EXPECT_DOUBLE_EQ(exact.base_runtime.at("b"), 10.0);
-  EXPECT_DOUBLE_EQ(exact.runtime_on("t", "b"), 3.0);
+  EXPECT_DOUBLE_EQ(exact.target_runtime.at("t").at("b"), 3.0);
   // Nearest occupancy picked when exact one is absent.
   const SpecData nearest = lib.view(6, "t", 4);
   EXPECT_DOUBLE_EQ(nearest.base_runtime.at("b"), 6.0);

@@ -18,6 +18,7 @@
 #include "core/ga.h"
 #include "core/ga_eval.h"
 #include "core/ranking.h"
+#include "core/spec_index.h"
 #include "machine/counters.h"
 #include "support/parallel.h"
 
@@ -63,12 +64,12 @@ core::SpecData synthetic_spec() {
 class GaEvalBitIdentity : public ::testing::Test {
  protected:
   GaEvalBitIdentity()
-      : spec_(synthetic_spec()),
+      : index_(synthetic_spec(), "base"),
         app_st_(counters_with(1.7, 0.004, 0.002)),
         app_smt_(counters_with(2.1, 0.005, 0.0025)) {
     weights_.weight.fill(1.0 / machine::kMetricGroupCount);
     prober_ = std::make_unique<core::GaFitnessProber>(app_st_, app_smt_,
-                                                      weights_, spec_, 100.0);
+                                                      weights_, index_, 100.0);
   }
 
   /// Runs the probe through the production kernel and asserts exact
@@ -79,7 +80,7 @@ class GaEvalBitIdentity : public ::testing::Test {
     EXPECT_EQ(ref, prober_->run(genome, iters, core::GaKernel::kSoaSparse));
   }
 
-  core::SpecData spec_;
+  core::SpecIndex index_;
   machine::PmuCounters app_st_;
   machine::PmuCounters app_smt_;
   core::GroupWeights weights_;
@@ -89,21 +90,21 @@ class GaEvalBitIdentity : public ::testing::Test {
 TEST_F(GaEvalBitIdentity, AllZeroGenome) {
   // Degenerate share total: every kernel must take the same 1e18 penalty
   // branch, not divide by zero.
-  const std::vector<double> zero(spec_.names.size(), 0.0);
+  const std::vector<double> zero(index_.size(), 0.0);
   expect_kernels_agree(zero, 1);
   expect_kernels_agree(zero, 8);
 }
 
 TEST_F(GaEvalBitIdentity, SingleTermGenomes) {
-  for (std::size_t k = 0; k < spec_.names.size(); ++k) {
-    std::vector<double> genome(spec_.names.size(), 0.0);
+  for (std::size_t k = 0; k < index_.size(); ++k) {
+    std::vector<double> genome(index_.size(), 0.0);
     genome[k] = 0.25 + 0.5 * static_cast<double>(k);
     expect_kernels_agree(genome, 6);
   }
 }
 
 TEST_F(GaEvalBitIdentity, DenseGenome) {
-  std::vector<double> genome(spec_.names.size());
+  std::vector<double> genome(index_.size());
   for (std::size_t k = 0; k < genome.size(); ++k) {
     genome[k] = 0.05 + 0.11 * static_cast<double>(k);
   }
@@ -115,7 +116,7 @@ TEST_F(GaEvalBitIdentity, RandomizedSparseGenomes) {
   std::uniform_real_distribution<double> weight(0.0, 2.0);
   std::uniform_real_distribution<double> coin(0.0, 1.0);
   for (int trial = 0; trial < 64; ++trial) {
-    std::vector<double> genome(spec_.names.size(), 0.0);
+    std::vector<double> genome(index_.size(), 0.0);
     for (double& g : genome) {
       if (coin(rng) < 0.5) g = weight(rng);
     }
@@ -270,7 +271,7 @@ TEST(GaDeltaEval, CommittedUpdatesStayWithinTheRefreshDriftBound) {
 }
 
 TEST_F(GaEvalBitIdentity, PolishModesAgreeBitwise) {
-  std::vector<double> genome(spec_.names.size(), 0.0);
+  std::vector<double> genome(index_.size(), 0.0);
   genome[1] = 0.9;
   genome[3] = 0.5;
   genome[6] = 1.4;
@@ -342,7 +343,7 @@ TEST_F(GaEvalBitIdentity, SearchReproducesRecordedOracleAcrossThreads) {
     for (const int threads : {1, 4}) {
       set_thread_count(threads);
       const core::Surrogate s = core::find_surrogate(
-          app_st_, app_smt_, weights_, spec_, 100.0, options);
+          app_st_, app_smt_, weights_, index_, 100.0, options);
       const std::string label = "generations=" +
                                 std::to_string(want.generations) +
                                 " threads=" + std::to_string(threads);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <sstream>
 
 #include "experiments/lab.h"
@@ -70,6 +71,27 @@ TEST(Record, DoubleRoundTripsExactly) {
   EXPECT_EQ(r.num(0), value);  // bit-exact via max_digits10
 }
 
+TEST(Record, NumbersMustConsumeTheWholeField) {
+  std::ostringstream os;
+  {
+    RecordWriter w(os, "demo", 1);
+    w.row("x").field(std::numeric_limits<double>::infinity()).field(-3.25);
+    w.row("y").field("1.5junk").field("12abc").field("1.5").field("12");
+  }
+  std::istringstream is(os.str());
+  RecordReader reader(is, "demo", 1);
+  Record r;
+  ASSERT_TRUE(reader.next(r));
+  EXPECT_EQ(r.num(0), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(r.num(1), -3.25);
+  ASSERT_TRUE(reader.next(r));
+  EXPECT_THROW(r.num(0), InvalidArgument);
+  EXPECT_THROW(r.integer(1), InvalidArgument);
+  EXPECT_THROW(r.integer(2), InvalidArgument);
+  EXPECT_EQ(r.num(2), 1.5);
+  EXPECT_EQ(r.integer(3), 12);
+}
+
 TEST(Persist, ImbDatabaseRoundTrip) {
   const machine::Machine m = machine::make_power5_hydra();
   const imb::ImbDatabase original =
@@ -111,8 +133,8 @@ TEST(Persist, SpecLibraryRoundTrip) {
   const core::SpecData b = restored.view(16, target.name, 4);
   for (const std::string& name : original.names) {
     EXPECT_DOUBLE_EQ(a.base_runtime.at(name), b.base_runtime.at(name));
-    EXPECT_DOUBLE_EQ(a.runtime_on(target.name, name),
-                     b.runtime_on(target.name, name));
+    EXPECT_DOUBLE_EQ(a.target_runtime.at(target.name).at(name),
+                     b.target_runtime.at(target.name).at(name));
     EXPECT_DOUBLE_EQ(a.base_counters_st.at(name).cpi_stall_mem,
                      b.base_counters_st.at(name).cpi_stall_mem);
   }

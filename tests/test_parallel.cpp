@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/ga.h"
+#include "core/spec_index.h"
 #include "machine/machine.h"
 #include "support/error.h"
 #include "support/parallel.h"
@@ -283,12 +284,13 @@ core::SpecData synthetic_spec() {
 core::Surrogate search(const core::SpecData& spec) {
   const machine::PmuCounters app = spec.base_counters_st.at("slow");
   const machine::PmuCounters app_smt = spec.base_counters_smt.at("slow");
+  const core::SpecIndex index(spec, "base");
   core::GroupWeights weights;
   weights.weight.fill(1.0 / machine::kMetricGroupCount);
   core::GaOptions options;  // default: 5 restarts — exercises the fan-out
   options.generations = 60;
   options.seed = 4242;
-  return core::find_surrogate(app, app_smt, weights, spec, 100.0, options);
+  return core::find_surrogate(app, app_smt, weights, index, 100.0, options);
 }
 
 void expect_identical(const core::Surrogate& a, const core::Surrogate& b) {

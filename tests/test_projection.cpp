@@ -116,10 +116,38 @@ TEST_F(ProjectionTest, CoupledAblationDiffersFromDecoupled) {
 }
 
 TEST_F(ProjectionTest, SpecViewMatchesOccupancies) {
-  // At 16 tasks: full node on the base (16/node), half node on P6 (32/node).
-  const core::SpecData view = projector_->spec_view(target_->name, 16);
-  EXPECT_EQ(view.names.size(), spec::suite().size());
-  EXPECT_GT(view.runtime_on(target_->name, "bwaves"), 0.0);
+  // At 16 tasks the job fills a base node (16/node).  On P6 (32/node) it
+  // fills half a node with one thread per task and a whole node with two;
+  // the base occupancy stays capped at its node size.
+  const core::SpecLibrary& lib = projector_->spec();
+  const auto at = [&](int base_occupancy, int target_occupancy) {
+    return core::SpecIndex::build(lib, target_->name, base_occupancy,
+                                  target_occupancy);
+  };
+  const auto expect_occupancies = [&](int threads, int base_occupancy,
+                                      int target_occupancy) {
+    const core::SpecIndex got = core::SpecIndex::for_demand(
+        lib, base_->cores_per_node, target_->name, 16 * threads);
+    const core::SpecIndex want = at(base_occupancy, target_occupancy);
+    EXPECT_EQ(got.target_machine, target_->name);
+    EXPECT_EQ(got.names, want.names);
+    EXPECT_EQ(got.base_time, want.base_time) << threads << " thread(s)";
+    EXPECT_EQ(got.target_time, want.target_time) << threads << " thread(s)";
+  };
+  expect_occupancies(1, 16, 16);
+  expect_occupancies(2, 16, 32);
+  // The library's data differs between these occupancies, so the checks
+  // above tell them apart.
+  EXPECT_NE(at(8, 16).base_time, at(16, 16).base_time);
+  EXPECT_NE(at(16, 16).target_time, at(16, 32).target_time);
+
+  const core::SpecIndex index = core::SpecIndex::for_demand(
+      lib, base_->cores_per_node, target_->name, 16);
+  EXPECT_EQ(index.size(), spec::suite().size());
+  for (const double t : index.target_time) EXPECT_GT(t, 0.0);
+  EXPECT_THROW(core::SpecIndex::for_demand(lib, base_->cores_per_node,
+                                           "Cray XT5", 16),
+               NotFound);
 }
 
 TEST_F(ProjectionTest, CommProjectionClassesCoverProfile) {

@@ -621,6 +621,43 @@ TEST_F(CacheTest, CorruptedFileIsRejectedAndRecomputed) {
   service::ArtifactSource source2 = service::ArtifactSource::kComputed;
   after.imb_database(key, &small_db, &source2);
   EXPECT_EQ(source2, service::ArtifactSource::kDisk);
+
+  // A well-formed surrogate file whose anchor lost its base compute time
+  // would project with a compute scale of 1: it is corrupt, not a hit.
+  const std::string surrogate_key = "surrogate-inputs-v1";
+  const auto make_surrogate = [] {
+    core::ComputeProjection p;
+    p.target_compute = 2.0;
+    p.base_compute = 4.0;
+    return p;
+  };
+  after.surrogate_projection(surrogate_key, make_surrogate);
+  bool rewritten = false;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("surrogate-", 0) != 0 ||
+        entry.path().extension() != ".swapp") {
+      continue;
+    }
+    std::ifstream in(entry.path());
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    const std::size_t at = text.find("\nanchor 2 4 ");
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, 12, "\nanchor 2 0 ");
+    std::ofstream(entry.path(), std::ios::trunc) << text;
+    rewritten = true;
+  }
+  ASSERT_TRUE(rewritten);
+
+  service::ArtifactCache reread(dir_);
+  service::ArtifactSource source3 = service::ArtifactSource::kDisk;
+  const auto surrogate =
+      reread.surrogate_projection(surrogate_key, make_surrogate, &source3);
+  EXPECT_EQ(source3, service::ArtifactSource::kComputed);
+  EXPECT_EQ(reread.stats().corrupt_files, 1u);
+  EXPECT_EQ(surrogate->base_compute, 4.0);
 }
 
 TEST_F(CacheTest, EvictionKeepsLiveReferencesValid) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the test suite under AddressSanitizer and runs it with a 4-thread
-# SWAPP pool, so the batched projection paths (shared SpecIndex arenas,
-# cache-owned artifacts, parallel merges) are exercised for lifetime and
+# SWAPP pool, so the batched projection paths (cache-owned artifacts,
+# shared GA searches, parallel merges) are exercised for lifetime and
 # bounds errors.  The full ctest run includes the GA engine tests
 # (test_ga_eval), whose kernels read pair-interleaved rows and sparse nz
 # lists — exactly the indexing ASan should be watching — and the
