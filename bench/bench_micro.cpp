@@ -56,29 +56,34 @@ const core::SpecIndex& ga_spec_index() {
   return *index;
 }
 
-// Eight processes advance by the same step from staggered start times, so
-// every wake-up lands between two of the others': each advance is queued,
-// popped and resumed with a fiber switch (no inline wakes).
+// range(1) processes (8, or 128 as in an IMB run at 128 ranks) advance by
+// the same step from staggered start times, so every wake-up lands between
+// two of the others': each advance is queued and hands control to the
+// next process with one fiber switch (no inline wakes).  range(0) is the
+// number of events dispatched.
 void BM_EngineEventDispatch(benchmark::State& state) {
-  constexpr int kProcs = 8;
   constexpr double kStep = 1e-6;
-  const int advances = static_cast<int>(state.range(0)) / kProcs;
+  const int procs = static_cast<int>(state.range(1));
+  const int advances = static_cast<int>(state.range(0)) / procs;
   for (auto _ : state) {
     sim::Engine engine;
-    for (int i = 0; i < kProcs; ++i) {
+    for (int i = 0; i < procs; ++i) {
       engine.spawn(
           "p" + std::to_string(i),
           [advances](sim::Process& p) {
             for (int k = 0; k < advances; ++k) p.advance(kStep);
           },
-          kStep * i / kProcs);
+          kStep * i / procs);
     }
     engine.run();
     benchmark::DoNotOptimize(engine.now());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EngineEventDispatch)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK(BM_EngineEventDispatch)
+    ->Args({1 << 10, 8})
+    ->Args({1 << 14, 8})
+    ->Args({1 << 14, 128});
 
 void BM_FiberSwitch(benchmark::State& state) {
   sim::Fiber fiber([] {

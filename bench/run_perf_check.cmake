@@ -1,6 +1,7 @@
 # ctest driver for the perf_check_bench entry (see CMakeLists.txt here):
-# runs the GA benchmarks fresh with JSON output, then gates the medians
-# against the checked-in baselines via tools/check_bench.py.  The suite runs
+# runs the gated benchmarks (GA, sweep fan-out, event dispatch and fiber
+# switch) fresh with JSON output, then gates the medians against the
+# checked-in baselines via tools/check_bench.py.  The suite runs
 # TWICE and the checker takes the per-benchmark minimum of the two medians:
 # on the shared 1-core CI container, scheduling jitter only ever adds time,
 # so best-of-2 strips load spikes without masking real regressions.
@@ -8,7 +9,7 @@
 # artifacts/BENCH_*.json records), OUT_JSON.
 
 set(bench_args
-  "--benchmark_filter=BM_GaFitnessKernel|^BM_GaSurrogateSearch$|^BM_GaSurrogateSearchMetricsOn$|^BM_GaPolish|^BM_GaDeltaKernel|^BM_SweepFanout"
+  "--benchmark_filter=BM_GaFitnessKernel|^BM_GaSurrogateSearch$|^BM_GaSurrogateSearchMetricsOn$|^BM_GaPolish|^BM_GaDeltaKernel|^BM_SweepFanout|^BM_EngineEventDispatch|^BM_FiberSwitch$"
   --benchmark_min_time=0.5
   --benchmark_repetitions=7
   --benchmark_report_aggregates_only=true

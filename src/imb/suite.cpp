@@ -38,8 +38,10 @@ namespace {
 
 /// One benchmark iteration for one rank.  `partner`-style pairings follow the
 /// IMB conventions; ranks without a role in a pattern skip the iteration.
+/// `reqs` is the rank's request buffer, reused by every iteration.
 void iteration(mpi::RankCtx& ctx, ImbBenchmark benchmark, Bytes bytes,
-               int sequences, bool near_pairs) {
+               int sequences, bool near_pairs,
+               std::vector<mpi::Request>& reqs) {
   const int n = ctx.size();
   const int r = ctx.rank();
   switch (benchmark) {
@@ -66,7 +68,7 @@ void iteration(mpi::RankCtx& ctx, ImbBenchmark benchmark, Bytes bytes,
       if (n < 2) break;
       const int right = (r + 1) % n;
       const int left = (r + n - 1) % n;
-      std::vector<mpi::Request> reqs;
+      reqs.clear();
       reqs.push_back(ctx.irecv(left, bytes, 1));
       if (left != right) reqs.push_back(ctx.irecv(right, bytes, 2));
       reqs.push_back(ctx.isend(right, bytes, 1));
@@ -107,8 +109,7 @@ void iteration(mpi::RankCtx& ctx, ImbBenchmark benchmark, Bytes bytes,
         if (r >= 2 * half) break;  // odd straggler idles
         partner = r < half ? r + half : r - half;
       }
-      std::vector<mpi::Request> reqs;
-      reqs.reserve(static_cast<std::size_t>(2 * sequences));
+      reqs.clear();
       for (int s = 0; s < sequences; ++s) {
         reqs.push_back(ctx.irecv(partner, bytes, s));
       }
@@ -135,13 +136,14 @@ ImbSample run_imb(const machine::Machine& m, ImbBenchmark benchmark,
   Seconds measured = 0.0;
   constexpr int kWarmup = 2;
   world.run([&](mpi::RankCtx& ctx) {
+    std::vector<mpi::Request> reqs;
     for (int i = 0; i < kWarmup; ++i) {
-      iteration(ctx, benchmark, bytes, sequences, near_pairs);
+      iteration(ctx, benchmark, bytes, sequences, near_pairs, reqs);
     }
     ctx.barrier();
     const Seconds t0 = ctx.now();
     for (int i = 0; i < repetitions; ++i) {
-      iteration(ctx, benchmark, bytes, sequences, near_pairs);
+      iteration(ctx, benchmark, bytes, sequences, near_pairs, reqs);
     }
     ctx.barrier();
     if (ctx.rank() == 0) {

@@ -68,7 +68,7 @@ void RankCtx::send(int dst, Bytes bytes, int tag) {
 void RankCtx::recv(int src, Bytes bytes, int tag) {
   auto call = world_->call_begin(rank_);
   const std::uint64_t id = world_->irecv_impl(rank_, src, bytes, tag);
-  const std::uint64_t ids[] = {id};
+  const Request ids[] = {{id}};
   world_->await_requests(rank_, ids);
   World::RankState& s = world_->states_[rank_];
   s.proc->advance(world_->machine_.mpi.recv_overhead);
@@ -82,7 +82,7 @@ void RankCtx::sendrecv(int dst, Bytes send_bytes, int src, Bytes recv_bytes,
   const std::uint64_t rid = world_->irecv_impl(rank_, src, recv_bytes, tag);
   const std::uint64_t sid =
       world_->isend_impl(rank_, dst, send_bytes, tag, /*blocking=*/false);
-  const std::uint64_t ids[] = {rid, sid};
+  const Request ids[] = {{rid}, {sid}};
   world_->await_requests(rank_, ids);
   World::RankState& s = world_->states_[rank_];
   s.proc->advance(world_->machine_.mpi.recv_overhead);
@@ -110,30 +110,27 @@ Request RankCtx::irecv(int src, Bytes bytes, int tag) {
 void RankCtx::waitall(std::span<const Request> requests) {
   auto call = world_->call_begin(rank_);
   World::RankState& s = world_->states_[rank_];
-  std::vector<std::uint64_t> ids;
-  ids.reserve(requests.size());
   Bytes total_bytes = 0;
   double distance_weighted = 0.0;
   int recvs = 0;
   for (const Request& r : requests) {
     const World::RequestState* state = s.requests.find(r.id);
     SWAPP_REQUIRE(state != nullptr, "waitall on unknown request");
-    ids.push_back(r.id);
     total_bytes += state->bytes;
     distance_weighted +=
         static_cast<double>(state->bytes) * std::abs(state->peer - rank_);
     if (state->is_recv) ++recvs;
   }
-  world_->await_requests(rank_, ids);
+  world_->await_requests(rank_, requests);
   // Per-request completion bookkeeping (request finalisation, status copy).
-  s.proc->advance(static_cast<double>(ids.size()) *
+  s.proc->advance(static_cast<double>(requests.size()) *
                   world_->machine_.mpi.nonblocking_post_overhead);
-  for (const std::uint64_t id : ids) s.requests.erase(id);
+  for (const Request& r : requests) s.requests.erase(r.id);
   // Bucket by the mean outstanding-message size: the multi-Sendrecv model
   // prices x messages of this size, which matches a mixed-size exchange
   // because transfer cost is near-linear in bytes.
   const Bytes mean_bytes = std::max<Bytes>(
-      1, ids.empty() ? 1 : total_bytes / ids.size());
+      1, requests.empty() ? 1 : total_bytes / requests.size());
   const double mean_distance =
       total_bytes > 0 ? distance_weighted / static_cast<double>(total_bytes)
                       : 1.0;
@@ -307,24 +304,24 @@ void World::maybe_wake(int owner) {
   RankState& s = states_[static_cast<std::size_t>(owner)];
   if (s.wait_kind != WaitKind::kBlocked) return;
   Seconds latest = engine_.now();
-  for (const std::uint64_t id : s.waiting_on) {
-    const RequestState* r = s.requests.find(id);
+  for (const Request& waited : s.waiting_on) {
+    const RequestState* r = s.requests.find(waited.id);
     SWAPP_ASSERT(r != nullptr, "waiting on unknown request");
     if (!r->determined) return;  // still incomplete
     latest = std::max(latest, r->complete_time);
   }
   s.wait_kind = WaitKind::kNone;
-  s.waiting_on.clear();
+  s.waiting_on = {};
   s.proc->unblock_at(latest);
 }
 
-Seconds World::await_requests(int rank, std::span<const std::uint64_t> ids) {
+Seconds World::await_requests(int rank, std::span<const Request> requests) {
   RankState& s = states_[static_cast<std::size_t>(rank)];
   while (true) {
     bool all_determined = true;
     Seconds latest = engine_.now();
-    for (const std::uint64_t id : ids) {
-      const RequestState* r = s.requests.find(id);
+    for (const Request& waited : requests) {
+      const RequestState* r = s.requests.find(waited.id);
       SWAPP_ASSERT(r != nullptr, "await on unknown request");
       if (!r->determined) {
         all_determined = false;
@@ -337,7 +334,7 @@ Seconds World::await_requests(int rank, std::span<const std::uint64_t> ids) {
       return latest;
     }
     s.wait_kind = WaitKind::kBlocked;
-    s.waiting_on.assign(ids.begin(), ids.end());
+    s.waiting_on = requests;
     s.proc->block();  // resumed by maybe_wake at the latest completion
   }
 }
@@ -401,7 +398,7 @@ std::uint64_t World::isend_impl(int src, int dst, Bytes bytes, int tag,
 
   s.proc->advance(cpu);
   if (blocking) {
-    const std::uint64_t ids[] = {req};
+    const Request ids[] = {{req}};
     await_requests(src, ids);
     s.requests.erase(req);
   }

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -175,12 +174,16 @@ class World {
   enum class WaitKind { kNone, kBlocked };
   struct RankState {
     sim::Process* proc = nullptr;
-    std::deque<PendingMessage> unexpected;
-    std::deque<PostedRecv> posted;
-    std::deque<PendingRendezvous> rendezvous;
+    // Matching queues in arrival order; a match erases in place, so the
+    // first match is always the oldest.
+    std::vector<PendingMessage> unexpected;
+    std::vector<PostedRecv> posted;
+    std::vector<PendingRendezvous> rendezvous;
     RequestSlab requests;
     WaitKind wait_kind = WaitKind::kNone;
-    std::vector<std::uint64_t> waiting_on;
+    /// The requests a blocked rank waits for: the caller's own array, live
+    /// on its suspended fiber stack until maybe_wake resumes it.
+    std::span<const Request> waiting_on;
     // profiling
     Seconds last_mpi_exit = 0.0;
     TaskBreakdown breakdown;
@@ -209,7 +212,7 @@ class World {
   void maybe_wake(int owner);
   /// Waits (in the calling rank's fiber) until all ids are determined, then
   /// advances to the latest completion.  Returns that time.
-  Seconds await_requests(int rank, std::span<const std::uint64_t> ids);
+  Seconds await_requests(int rank, std::span<const Request> requests);
 
   // Unprofiled primitives used by both the public API and sendrecv.
   std::uint64_t isend_impl(int src, int dst, Bytes bytes, int tag,

@@ -23,15 +23,14 @@ void Process::advance(Seconds dt) {
   if (engine_.wake_inline(when)) return;
   blocked_ = true;
   resume_scheduled_ = true;
-  engine_.schedule_wake(when, *this);
-  Fiber::yield();
+  switch_to(&engine_.exchange_next(when, *this));
 }
 
 Seconds Process::block() {
   SWAPP_ASSERT(Fiber::in_fiber(), "block() called outside process context");
   blocked_ = true;
   resume_scheduled_ = false;
-  Fiber::yield();
+  switch_to(engine_.dispatch_next());
   return engine_.now();
 }
 
@@ -42,15 +41,27 @@ void Process::unblock_at(Seconds when) {
   engine_.schedule_wake(std::max(when, engine_.now()), *this);
 }
 
-void Process::wake() {
+void Process::mark_woken() noexcept {
   blocked_ = false;
   resume_scheduled_ = false;
-  fiber_->resume();
+}
+
+void Process::switch_to(Process* next) {
+  if (next == nullptr) {
+    Fiber::yield();  // nothing queued: Engine::run reports the deadlock
+    return;
+  }
+  next->mark_woken();
+  Fiber::transfer(*next->fiber_);
 }
 
 void Engine::schedule_wake(Seconds when, Process& p) {
   SWAPP_ASSERT(when >= now_, "wake-up scheduled in the past");
-  queue_.push(Event{when, next_seq_++, &p});
+  heap_.push_back(Event{when, next_seq_++, &p});
+  // std::push_heap keeps a max-heap under its comparator; "later" makes
+  // the earliest event the front, the invariant sift_down_from_root keeps.
+  std::push_heap(heap_.begin(), heap_.end(),
+                 [](const Event& a, const Event& b) { return earlier(b, a); });
 }
 
 bool Engine::wake_inline(Seconds when) {
@@ -59,11 +70,45 @@ bool Engine::wake_inline(Seconds when) {
   // strictly later: an event due at `when` was queued first and wins the
   // FIFO tie-break.  Popping it would set the clock, count one dispatch and
   // resume this same process, which is what returning without a yield does.
-  if (!queue_.empty() && queue_.top().time <= when) return false;
+  if (!heap_.empty() && heap_.front().time <= when) return false;
   now_ = when;
   ++dispatched_;
   ++inline_wakes_;
   return true;
+}
+
+Process* Engine::dispatch_next() {
+  if (heap_.empty()) return nullptr;
+  const Event ev = heap_.front();
+  const Event last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down_from_root(last);
+  SWAPP_ASSERT(ev.time >= now_, "event queue delivered a past event");
+  now_ = ev.time;
+  ++dispatched_;
+  return ev.proc;
+}
+
+Process& Engine::exchange_next(Seconds when, Process& p) {
+  const Event ev = heap_.front();
+  SWAPP_ASSERT(ev.time <= when, "exchange_next() would dispatch out of order");
+  SWAPP_ASSERT(ev.time >= now_, "event queue delivered a past event");
+  sift_down_from_root(Event{when, next_seq_++, &p});
+  now_ = ev.time;
+  ++dispatched_;
+  return *ev.proc;
+}
+
+void Engine::sift_down_from_root(Event ev) noexcept {
+  const std::size_t n = heap_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+    if (!earlier(heap_[child], ev)) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = ev;
 }
 
 Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
@@ -81,13 +126,11 @@ Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
 void Engine::run() {
   const std::uint64_t dispatched_before = dispatched_;
   const std::uint64_t inline_before = inline_wakes_;
-  while (!queue_.empty()) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    SWAPP_ASSERT(ev.time >= now_, "event queue delivered a past event");
-    now_ = ev.time;
-    ++dispatched_;
-    ev.proc->wake();
+  // Processes hand control to each other while events are queued; control
+  // comes back here when a body finishes or blocks on an empty queue.
+  while (Process* p = dispatch_next()) {
+    p->mark_woken();
+    p->fiber_->resume();
   }
   SWAPP_COUNT("sim.events", dispatched_ - dispatched_before);
   SWAPP_COUNT("sim.inline_wakes", inline_wakes_ - inline_before);

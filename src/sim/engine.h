@@ -7,12 +7,16 @@
 // Process::advance / block / unblock_at.  Every event resumes one process:
 // an event is a plain {time, seq, process} record, so queueing one never
 // touches the heap beyond the queue's own storage.
+//
+// A process that suspends dispatches the next event itself and switches
+// straight into that event's process, so one dispatch costs one fiber
+// switch.  Engine::run's loop takes over only to start the run, after a
+// process body finishes, and when a process blocks on an empty queue.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -39,6 +43,8 @@ class Process {
   /// and resumes once the clock reaches now() + dt.  When no queued event is
   /// due at or before that time, the wake-up would be the next event
   /// dispatched anyway, so the clock moves without a fiber switch.
+  /// Otherwise the wake-up takes the earliest event's place in the queue
+  /// and that event's process runs next.
   void advance(Seconds dt);
 
   /// Suspends until another party calls unblock_at().  Returns the
@@ -59,8 +65,12 @@ class Process {
   friend class Engine;
   Process(Engine& engine, std::uint32_t id, std::string name,
           std::function<void(Process&)> body, std::size_t stack_bytes);
-  /// Resumes the fiber for a dispatched wake-up event.
-  void wake();
+  /// Marks the process running again, for a dispatched wake-up event.
+  void mark_woken() noexcept;
+  /// Hands this thread from the calling process's fiber to `next`'s, or to
+  /// Engine::run's loop when `next` is null; returns when this process is
+  /// resumed.
+  void switch_to(Process* next);
 
   Engine& engine_;
   std::uint32_t id_;
@@ -113,24 +123,35 @@ class Engine {
     Process* proc;
   };
   static_assert(std::is_trivially_copyable_v<Event>);
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;  // FIFO within a timestamp
-    }
-  };
+  /// The queue order: by time, FIFO (by seq) within a timestamp.
+  static bool earlier(const Event& a, const Event& b) noexcept {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
 
   /// Queues a wake-up of `p` at `when` (>= now).
   void schedule_wake(Seconds when, Process& p);
   /// Moves the clock to `when` and counts the wake-up as dispatched if it
   /// would be the next event popped; false if it must be queued instead.
   bool wake_inline(Seconds when);
+  /// Dispatches the earliest event: removes it, moves the clock to it and
+  /// counts it.  Returns its process, or null when the queue is empty.
+  Process* dispatch_next();
+  /// Queues a wake-up of `p` at `when` and dispatches the earliest event,
+  /// for a queue whose earliest event is due at or before `when`.  Push
+  /// then pop would pop that same event (on a tie the wake-up's larger seq
+  /// loses), so the wake-up takes its place in one sift-down.  Returns the
+  /// dispatched event's process.
+  Process& exchange_next(Seconds when, Process& p);
+  /// Puts `ev` into the hole at the root of heap_ and restores heap order.
+  void sift_down_from_root(Event ev) noexcept;
 
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t inline_wakes_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  /// Binary min-heap in earlier() order: heap_[0] is the next event.
+  std::vector<Event> heap_;
   std::vector<std::unique_ptr<Process>> processes_;
 };
 

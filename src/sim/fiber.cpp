@@ -83,15 +83,40 @@ namespace {
 // The single running fiber on this thread (the simulation is single-threaded;
 // thread_local keeps tests that run simulations on worker threads safe).
 thread_local Fiber* g_current_fiber = nullptr;
+// The fiber that last switched back to the scheduler; resume() rethrows its
+// failure.
+thread_local Fiber* g_returning_fiber = nullptr;
+
+// The scheduler's context while a fiber runs.  Every fiber returns to the
+// same one, whichever fiber the scheduler resumed.
+#if defined(__x86_64__)
+thread_local void* g_scheduler_sp = nullptr;
+#else
+thread_local ucontext_t g_scheduler_context;
+#endif
 
 #if defined(__SANITIZE_ADDRESS__)
-// The scheduler's stack, learned on the first switch into a fiber and
+// The scheduler's stack, learned on every switch out of the scheduler and
 // announced to ASan on every switch back.
-thread_local const void* g_caller_stack = nullptr;
-thread_local std::size_t g_caller_stack_bytes = 0;
+thread_local const void* g_scheduler_stack = nullptr;
+thread_local std::size_t g_scheduler_stack_bytes = 0;
+// Whether the switch in flight left the scheduler (resume) rather than
+// another fiber (transfer): only then are the previous stack's bounds the
+// scheduler's.
+thread_local bool g_switch_from_scheduler = false;
+
+/// Completes a switch onto a fiber's stack.
+void finish_switch_into_fiber(void* fake_stack) {
+  if (g_switch_from_scheduler) {
+    __sanitizer_finish_switch_fiber(fake_stack, &g_scheduler_stack,
+                                    &g_scheduler_stack_bytes);
+  } else {
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+  }
+}
 #endif
 #if defined(__SANITIZE_THREAD__)
-thread_local void* g_caller_tsan_fiber = nullptr;
+thread_local void* g_scheduler_tsan_fiber = nullptr;
 #endif
 
 std::size_t page_bytes() {
@@ -209,8 +234,7 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
 
 void Fiber::entry(Fiber* self) {
 #if defined(__SANITIZE_ADDRESS__)
-  __sanitizer_finish_switch_fiber(nullptr, &g_caller_stack,
-                                  &g_caller_stack_bytes);
+  finish_switch_into_fiber(nullptr);
 #endif
   try {
     self->body_();
@@ -222,74 +246,89 @@ void Fiber::entry(Fiber* self) {
   __builtin_unreachable();
 }
 
-void Fiber::switch_in() {
-#if defined(__SANITIZE_ADDRESS__)
-  void* fake_stack = nullptr;
-  __sanitizer_start_switch_fiber(&fake_stack, stack_, stack_bytes_);
-#endif
-#if defined(__SANITIZE_THREAD__)
-  g_caller_tsan_fiber = __tsan_get_current_fiber();
-  __tsan_switch_to_fiber(tsan_fiber_, 0);
-#endif
-#if defined(__x86_64__)
-  swapp_fiber_switch(&caller_sp_, sp_);
-#else
-  SWAPP_ASSERT(swapcontext(&caller_context_, &context_) == 0,
-               "swapcontext into fiber failed");
-#endif
-#if defined(__SANITIZE_ADDRESS__)
-  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
-#endif
-}
-
-void Fiber::switch_out([[maybe_unused]] bool finishing) {
-#if defined(__SANITIZE_ADDRESS__)
-  // A null save slot tells ASan this stack is being left for good.
-  void* fake_stack = nullptr;
-  __sanitizer_start_switch_fiber(finishing ? nullptr : &fake_stack,
-                                 g_caller_stack, g_caller_stack_bytes);
-#endif
-#if defined(__SANITIZE_THREAD__)
-  __tsan_switch_to_fiber(g_caller_tsan_fiber, 0);
-#endif
-#if defined(__x86_64__)
-  swapp_fiber_switch(&sp_, caller_sp_);
-#else
-  SWAPP_ASSERT(swapcontext(&context_, &caller_context_) == 0,
-               "swapcontext out of fiber failed");
-#endif
-#if defined(__SANITIZE_ADDRESS__)
-  __sanitizer_finish_switch_fiber(fake_stack, &g_caller_stack,
-                                  &g_caller_stack_bytes);
-#endif
-}
-
 void Fiber::resume() {
   SWAPP_ASSERT(g_current_fiber == nullptr,
                "resume() called from inside a fiber");
   SWAPP_ASSERT(!finished_, "resume() on a finished fiber");
   g_current_fiber = this;
-  switch_in();
+#if defined(__SANITIZE_ADDRESS__)
+  void* fake_stack = nullptr;
+  g_switch_from_scheduler = true;
+  __sanitizer_start_switch_fiber(&fake_stack, stack_, stack_bytes_);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  g_scheduler_tsan_fiber = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
+#if defined(__x86_64__)
+  swapp_fiber_switch(&g_scheduler_sp, sp_);
+#else
+  SWAPP_ASSERT(swapcontext(&g_scheduler_context, &context_) == 0,
+               "swapcontext into fiber failed");
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+  if (std::exception_ptr failure =
+          std::exchange(g_returning_fiber->failure_, nullptr)) {
+    std::rethrow_exception(failure);
+  }
+}
+
+void Fiber::transfer(Fiber& next) {
+  Fiber* self = g_current_fiber;
+  SWAPP_ASSERT(self != nullptr, "transfer() called outside a fiber");
+  SWAPP_ASSERT(&next != self, "transfer() to the running fiber");
+  SWAPP_ASSERT(!next.finished_, "transfer() to a finished fiber");
+  g_current_fiber = &next;
+#if defined(__SANITIZE_ADDRESS__)
+  void* fake_stack = nullptr;
+  g_switch_from_scheduler = false;
+  __sanitizer_start_switch_fiber(&fake_stack, next.stack_, next.stack_bytes_);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  __tsan_switch_to_fiber(next.tsan_fiber_, 0);
+#endif
+#if defined(__x86_64__)
+  swapp_fiber_switch(&self->sp_, next.sp_);
+#else
+  SWAPP_ASSERT(swapcontext(&self->context_, &next.context_) == 0,
+               "swapcontext between fibers failed");
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+  finish_switch_into_fiber(fake_stack);
+#endif
+}
+
+void Fiber::switch_out([[maybe_unused]] bool finishing) {
   g_current_fiber = nullptr;
-  rethrow_if_failed();
+  g_returning_fiber = this;
+#if defined(__SANITIZE_ADDRESS__)
+  // A null save slot tells ASan this stack is being left for good.
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(finishing ? nullptr : &fake_stack,
+                                 g_scheduler_stack, g_scheduler_stack_bytes);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  __tsan_switch_to_fiber(g_scheduler_tsan_fiber, 0);
+#endif
+#if defined(__x86_64__)
+  swapp_fiber_switch(&sp_, g_scheduler_sp);
+#else
+  SWAPP_ASSERT(swapcontext(&context_, &g_scheduler_context) == 0,
+               "swapcontext out of fiber failed");
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+  finish_switch_into_fiber(fake_stack);
+#endif
 }
 
 void Fiber::yield() {
   Fiber* self = g_current_fiber;
   SWAPP_ASSERT(self != nullptr, "yield() called outside a fiber");
-  g_current_fiber = nullptr;
   self->switch_out(/*finishing=*/false);
-  g_current_fiber = self;
 }
 
 bool Fiber::in_fiber() noexcept { return g_current_fiber != nullptr; }
-
-void Fiber::rethrow_if_failed() {
-  if (failure_) {
-    auto failure = failure_;
-    failure_ = nullptr;
-    std::rethrow_exception(failure);
-  }
-}
 
 }  // namespace swapp::sim

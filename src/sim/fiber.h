@@ -12,6 +12,12 @@
 // to POSIX ucontext.  Every stack has a PROT_NONE guard page below it, so an
 // overrun faults instead of corrupting the heap, and released stacks are
 // reused through a per-thread free list.
+//
+// The scheduler (the code outside every fiber) enters with resume(); a
+// running fiber either hands control straight to another fiber with
+// transfer() or returns it to the scheduler with yield() or by finishing.
+// The scheduler's suspended context is one per-thread value, so any fiber
+// can return to it.
 #pragma once
 
 #include <cstddef>
@@ -26,9 +32,8 @@ namespace swapp::sim {
 
 /// A single user-level execution context.
 ///
-/// The fiber's body runs when `resume()` is called and control returns to the
-/// caller when the body calls `yield()` or returns.  Fibers are not
-/// thread-safe: the whole simulation is single-threaded by design.
+/// The fiber's body runs when `resume()` or `transfer()` is called.  Fibers
+/// are not thread-safe: the whole simulation is single-threaded by design.
 class Fiber {
  public:
   /// Default stack: generous enough for the deepest simulated call chains
@@ -42,9 +47,18 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// Transfers control into the fiber until it yields or finishes.
-  /// Must be called from outside any fiber (the scheduler context).
+  /// Transfers control from the scheduler into the fiber and returns once
+  /// control comes back to the scheduler: when this fiber, or one that
+  /// control was transferred to since, yields or finishes.  If the fiber
+  /// that handed control back exited with an exception, rethrows it.  Must
+  /// be called from outside any fiber.
   void resume();
+
+  /// Transfers control from the currently-running fiber straight into
+  /// `next` (suspended or not yet started, never finished), without passing
+  /// through the scheduler.  Returns when some context switches back into
+  /// the calling fiber.  Must be called from inside a fiber body.
+  static void transfer(Fiber& next);
 
   /// Transfers control from the currently-running fiber back to the
   /// scheduler.  Must be called from inside a fiber body.
@@ -56,27 +70,20 @@ class Fiber {
   /// True while any fiber body is executing on this thread.
   static bool in_fiber() noexcept;
 
-  /// If the fiber body exited with an exception, rethrows it in the caller
-  /// of resume(); otherwise a no-op.
-  void rethrow_if_failed();
-
  private:
   [[noreturn]] static void entry(Fiber* self);
 #if !defined(__x86_64__)
   static void trampoline(unsigned hi, unsigned lo);
 #endif
-  void switch_in();                  ///< scheduler -> fiber
-  void switch_out(bool finishing);   ///< fiber -> scheduler
+  void switch_out(bool finishing);  ///< fiber -> scheduler
 
   std::function<void()> body_;
   char* stack_ = nullptr;  ///< lowest usable byte; the guard page is below
   std::size_t stack_bytes_ = 0;
 #if defined(__x86_64__)
-  void* sp_ = nullptr;         ///< fiber's stack pointer while suspended
-  void* caller_sp_ = nullptr;  ///< scheduler's stack pointer while running
+  void* sp_ = nullptr;  ///< fiber's stack pointer while suspended
 #else
   ucontext_t context_{};
-  ucontext_t caller_context_{};
 #endif
   void* tsan_fiber_ = nullptr;  ///< ThreadSanitizer handle (TSan builds)
   std::exception_ptr failure_;

@@ -4,6 +4,7 @@
 
 #include <cfenv>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -110,6 +111,51 @@ TEST(Fiber, FloatingPointControlStaysWithItsContext) {
   EXPECT_GT(upward, nearest);
   EXPECT_EQ(std::fegetround(), FE_TONEAREST);
   EXPECT_FALSE(flush_to_zero());
+  std::fesetround(FE_TONEAREST);  // keep a failure from leaking into others
+  set_flush_to_zero(false);
+}
+
+TEST(Fiber, TransferHandsControlBetweenFibersWithTheirOwnFpControl) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  ASSERT_FALSE(flush_to_zero());
+  std::vector<std::string> order;
+  Fiber* b_fiber = nullptr;
+  int round_seen_by_b = -1;
+  bool ftz_seen_by_b = true;
+  Fiber a([&] {
+    std::fesetround(FE_UPWARD);
+    set_flush_to_zero(true);
+    order.push_back("a");
+    Fiber::transfer(*b_fiber);  // A -> B, B not yet started
+    order.push_back("a again");
+    EXPECT_EQ(std::fegetround(), FE_UPWARD);
+    EXPECT_EQ(flush_to_zero(), kHasFlushToZero);
+  });
+  Fiber b([&] {
+    round_seen_by_b = std::fegetround();
+    ftz_seen_by_b = flush_to_zero();
+    std::fesetround(FE_TOWARDZERO);
+    order.push_back("b");
+    Fiber::transfer(a);  // B -> A, back into A's transfer call
+    order.push_back("b again");
+    EXPECT_EQ(std::fegetround(), FE_TOWARDZERO);
+    EXPECT_FALSE(flush_to_zero());
+  });
+  b_fiber = &b;
+  a.resume();  // comes back when A finishes
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "a again"}));
+  EXPECT_TRUE(a.finished());
+  EXPECT_FALSE(b.finished());
+  // B started with its creator's control state, not A's.
+  EXPECT_EQ(round_seen_by_b, FE_TONEAREST);
+  EXPECT_FALSE(ftz_seen_by_b);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_FALSE(flush_to_zero());
+  EXPECT_FALSE(Fiber::in_fiber());
+  b.resume();  // the scheduler resumes B where it transferred away
+  EXPECT_EQ(order.back(), "b again");
+  EXPECT_TRUE(b.finished());
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
   std::fesetround(FE_TONEAREST);  // keep a failure from leaking into others
   set_flush_to_zero(false);
 }
@@ -364,6 +410,28 @@ TEST(Engine, DeadlockDetection) {
   EXPECT_THROW(e.run(), InternalError);
 }
 
+// "a" blocks with "b"'s start queued, so it hands control straight to "b";
+// "b" then blocks on an empty queue, which must end the run as a deadlock
+// naming both.
+TEST(Engine, DeadlockReportedWhenTheLastRunningProcessBlocks) {
+  Engine e;
+  e.spawn("a", [](Process& p) { p.block(); });
+  e.spawn("b", [](Process& p) {
+    p.advance(1.0);
+    p.block();
+  });
+  try {
+    e.run();
+    FAIL() << "the deadlock was not reported";
+  } catch (const InternalError& err) {
+    EXPECT_NE(std::string(err.what()).find("2 process(es) blocked: a, b"),
+              std::string::npos)
+        << err.what();
+  }
+  EXPECT_EQ(e.events_dispatched(), 3u);  // two starts, one inline advance
+  EXPECT_DOUBLE_EQ(e.now(), 1.0);
+}
+
 TEST(Engine, ManyProcessesDeterministic) {
   const auto run_once = [] {
     Engine e;
@@ -435,6 +503,112 @@ TEST(Engine, ProcessExceptionPropagates) {
     throw std::runtime_error("rank failed");
   });
   EXPECT_THROW(e.run(), std::runtime_error);
+}
+
+// Engine::run resumes only "ticker"; every later dispatch is a handoff
+// between the two processes, so "bad" starts, sleeps and throws without
+// the run loop resuming it.  Its exception must still leave run().
+TEST(Engine, ExceptionFromAHandedOffProcessPropagates) {
+  Engine e;
+  int ticks = 0;
+  e.spawn("ticker", [&](Process& p) {
+    for (int i = 0; i < 3; ++i) {
+      p.advance(1.0);
+      ++ticks;
+    }
+  });
+  e.spawn(
+      "bad",
+      [](Process& p) {
+        p.advance(1.0);
+        throw std::runtime_error("rank failed after a handoff");
+      },
+      0.5);
+  try {
+    e.run();
+    FAIL() << "the process's exception did not reach run()";
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(), "rank failed after a handoff");
+  }
+  EXPECT_EQ(ticks, 1);
+  EXPECT_DOUBLE_EQ(e.now(), 1.5);
+  EXPECT_FALSE(Fiber::in_fiber());
+}
+
+// 64 processes take seeded random steps: advance by 0..3 quarter-seconds,
+// block while another process can still run, or unblock a blocked process
+// at a time up to half a second ahead (or in the past, which clamps).  A
+// finishing process unblocks every process still waiting, so the run always
+// drains.  The resume trace (time, process) is folded into one checksum.
+// The pinned values were recorded with the engine that resumed every
+// process from Engine::run's loop, before the direct handoff, so any change
+// in event order, tie-breaks or dispatch counting fails here.
+TEST(Engine, RandomAdvanceBlockUnblockTraceIsPinned) {
+  constexpr int kProcs = 64;
+  constexpr int kSteps = 200;
+  const auto splitmix = [](std::uint64_t& state) {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  Engine e;
+  std::vector<Process*> procs;
+  std::vector<std::uint32_t> waiting;  // blocked, no wake-up scheduled yet
+  int runnable = kProcs;               // not finished and not waiting
+  std::uint64_t trace = 0xcbf29ce484222325ULL;
+  std::uint64_t resumes = 0;
+  const auto record = [&](const Process& p) {
+    std::uint64_t bits = 0;
+    const double now = e.now();
+    std::memcpy(&bits, &now, sizeof bits);
+    for (const std::uint64_t word : {bits, std::uint64_t{p.id()}}) {
+      trace = (trace ^ word) * 0x100000001b3ULL;
+    }
+    ++resumes;
+  };
+  const auto unblock = [&](std::size_t slot, Seconds when) {
+    Process* target = procs[waiting[slot]];
+    waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(slot));
+    ++runnable;
+    target->unblock_at(when);
+  };
+  for (int i = 0; i < kProcs; ++i) {
+    procs.push_back(&e.spawn(
+        "p" + std::to_string(i),
+        [&, i](Process& p) {
+          std::uint64_t rng = 0x5eed0000ULL + static_cast<std::uint64_t>(i);
+          record(p);
+          for (int step = 0; step < kSteps; ++step) {
+            const std::uint64_t draw = splitmix(rng);
+            const int action = static_cast<int>(draw % 8);
+            const int quarters = static_cast<int>((draw >> 8) % 4);
+            if (action < 4) {
+              p.advance(0.25 * quarters);
+            } else if (action < 6) {
+              if (runnable < 2) continue;
+              waiting.push_back(p.id());
+              --runnable;
+              p.block();
+            } else {
+              if (waiting.empty()) continue;
+              const std::size_t slot = (draw >> 16) % waiting.size();
+              unblock(slot, e.now() + 0.25 * (quarters - 1));
+            }
+            record(p);
+          }
+          while (!waiting.empty()) unblock(0, e.now() + 0.25);
+          --runnable;
+        },
+        0.125 * (i % 5)));
+  }
+  e.run();
+  EXPECT_EQ(e.live_process_count(), 0u);
+  EXPECT_EQ(resumes, 12583u);
+  EXPECT_EQ(trace, 5647450521536194811u);
+  EXPECT_EQ(e.events_dispatched(), 7992u);
+  EXPECT_EQ(e.inline_wakes(), 36u);
+  EXPECT_DOUBLE_EQ(e.now(), 129.375);
 }
 
 }  // namespace

@@ -96,8 +96,10 @@ def main():
             continue
         delta = (now_us - base_us) / base_us * 100.0
         verdict = "FAIL" if delta > args.threshold else "ok"
-        print(f"  {verdict:4} {name}: baseline {base_us:.1f}us, "
-              f"now {now_us:.1f}us ({delta:+.1f}%)")
+        # Six significant digits keep nanosecond rows (BM_FiberSwitch)
+        # readable next to the millisecond ones.
+        print(f"  {verdict:4} {name}: baseline {base_us:.6g}us, "
+              f"now {now_us:.6g}us ({delta:+.1f}%)")
         if delta > args.threshold:
             failures.append(name)
 
